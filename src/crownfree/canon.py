@@ -1,13 +1,29 @@
 """Exact canonical labeling for linear 3-graphs.
 
 Iterative color refinement on vertices (colors propagated through the
-triples) plus backtracking individualization.  All branches of the
-individualization tree are explored and the lexicographically least edge
-list over its leaves is the canonical form; the tree itself is an
-isomorphism invariant, so isomorphic graphs get identical canonical edge
-lists.  Graphs here are tiny (n <= ~25), so no automorphism pruning is
-needed; the full automorphism group falls out of the minimal leaves for
-free and is used by the search engine.
+triples) plus backtracking individualization.  The lexicographically
+least edge list over the leaves of the individualization tree is the
+canonical form; the tree itself is an isomorphism invariant, so
+isomorphic graphs get identical canonical edge lists.
+
+The tree is pruned by automorphisms (McKay & Piperno, *Practical Graph
+Isomorphism II*, J. Symb. Comput. 2014).  A leaf with the same edge image
+as lab0, the first leaf of the least image found so far, differs from it
+by an automorphism, which is recorded as a generator.  Two prunings
+follow, each skipping a subtree that is the image of an explored one
+under an automorphism and so has the same set of leaf images:
+
+- at a tree node, a child vertex in the orbit of an already explored
+  sibling, under the generators that fix the individualized prefix
+  pointwise, is skipped;
+- after recording a generator, the search jumps back to the common
+  ancestor of the leaf and lab0, since the generator maps the rest of the
+  current subtree onto the sibling subtree holding lab0.
+
+Hence the least image and the first leaf reaching it are those of the
+full tree, and, by induction along the path to that leaf
+(orbit-stabilizer at each level), the recorded generators generate the
+whole of Aut(H).  Only the generators are returned, never the group.
 """
 
 from __future__ import annotations
@@ -26,8 +42,10 @@ class CanonResult:
       (isolated vertices do not affect it).
     perm: full permutation old label -> new label on all n vertices;
       isolated vertices get the labels k..n-1 in ascending original order.
-    auts: automorphisms of the covered part, as tuples indexed by covered
-      position (see cover list); identity always included.
+    auts: generators of the automorphism group of the covered part, as
+      dicts old label -> old label over the cover list; distinct and never
+      the identity, so a graph with trivial group has none.  Orbits are
+      obtained by closing under them; the group itself is not listed.
     cover: sorted list of covered vertices (original labels).
     """
 
@@ -41,9 +59,27 @@ def canonical_form(H: LinearThreeGraph) -> CanonResult:
     return canonical_edges(H.n, H.edges)
 
 
+def _orbit_roots(k: int, gens: list[tuple[int, ...]]) -> list[int]:
+    """Orbit representative of each of 0..k-1 under the group of gens."""
+    root = list(range(k))
+
+    def find(x: int) -> int:
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    for g in gens:
+        for v in range(k):
+            a, b = find(v), find(g[v])
+            if a != b:
+                root[max(a, b)] = min(a, b)
+    return [find(v) for v in range(k)]
+
+
 def canonical_edges(n: int, edges: Sequence[Triple]) -> CanonResult:
     if not edges:
-        return CanonResult((), tuple(range(n)), ({},), ())
+        return CanonResult((), tuple(range(n)), (), ())
 
     cover = sorted({v for e in edges for v in e})
     k = len(cover)
@@ -76,10 +112,17 @@ def canonical_edges(n: int, edges: Sequence[Triple]) -> CanonResult:
             ncells = len(order)
 
     best_img: tuple[Triple, ...] | None = None
-    best_labs: list[list[int]] = []
+    lab0: list[int] = []
+    inv0: list[int] = []
+    path0: tuple[int, ...] = ()
+    # automorphisms as position tuples: gens[i][v] is the image of vertex v
+    gens: list[tuple[int, ...]] = []
 
-    def dfs(colors: list[int]) -> None:
-        nonlocal best_img
+    def dfs(colors: list[int], prefix: tuple[int, ...]) -> int | None:
+        """Explore the subtree at prefix; an int return asks every node
+        deeper than that many individualized vertices to abandon its
+        subtree."""
+        nonlocal best_img, lab0, inv0, path0
         colors = refine(colors)
         cells: dict[int, list[int]] = {}
         for v, c in enumerate(colors):
@@ -95,34 +138,52 @@ def canonical_edges(n: int, edges: Sequence[Triple]) -> CanonResult:
                 tuple(sorted((colors[a], colors[b], colors[c]))) for a, b, c in edge_pos
             ))
             if best_img is None or img < best_img:
-                best_img = img
-                best_labs.clear()
-                best_labs.append(colors)
-            elif img == best_img:
-                best_labs.append(colors)
-            return
-        base = colors
+                best_img, lab0, path0 = img, colors, prefix
+                inv0 = [0] * k
+                for v in range(k):
+                    inv0[colors[v]] = v
+                return None
+            if img != best_img:
+                return None
+            # g maps this leaf to lab0: each vertex goes to the one lab0
+            # gives its label.  Leaves have distinct labelings (the
+            # individualized vertex takes the least label of its cell), so
+            # g is not the identity and maps this path onto path0.  It
+            # fixes their common prefix and carries the rest of this
+            # subtree onto the sibling subtree holding lab0, explored
+            # earlier: jump back to the common ancestor.
+            g = tuple(inv0[c] for c in colors)
+            if g not in gens:
+                gens.append(g)
+            common = 0
+            while prefix[common] == path0[common]:
+                common += 1
+            return common
+        depth = len(prefix)
+        explored: list[int] = []
+        roots: list[int] = []
+        ngens = -1
         for v in target:
-            branch = [2 * c for c in base]
+            if explored:
+                if ngens != len(gens):
+                    ngens = len(gens)
+                    roots = _orbit_roots(
+                        k, [g for g in gens if all(g[u] == u for u in prefix)]
+                    )
+                if any(roots[v] == roots[u] for u in explored):
+                    continue
+            explored.append(v)
+            branch = [2 * c for c in colors]
             branch[v] -= 1
-            dfs(branch)
+            jump = dfs(branch, prefix + (v,))
+            if jump is not None and jump < depth:
+                return jump
+        return None
 
-    dfs([0] * k)
+    dfs([0] * k, ())
     assert best_img is not None
 
-    lab0 = best_labs[0]
-    # automorphisms: compose each minimal labeling with the inverse of the first
-    inv0 = [0] * k
-    for v in range(k):
-        inv0[lab0[v]] = v
-    auts = []
-    seen = set()
-    for lab in best_labs:
-        alpha = tuple(inv0[lab[v]] for v in range(k))
-        if alpha not in seen:
-            seen.add(alpha)
-            auts.append({cover[v]: cover[alpha[v]] for v in range(k)})
-
+    auts = tuple({cover[v]: cover[g[v]] for v in range(k)} for g in gens)
     perm = [0] * n
     for v in range(k):
         perm[cover[v]] = lab0[v]
@@ -131,4 +192,4 @@ def canonical_edges(n: int, edges: Sequence[Triple]) -> CanonResult:
         if v not in pos:
             perm[v] = nxt
             nxt += 1
-    return CanonResult(best_img, tuple(perm), tuple(auts), tuple(cover))
+    return CanonResult(best_img, tuple(perm), auts, tuple(cover))

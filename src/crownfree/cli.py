@@ -44,6 +44,13 @@ def _default_threads() -> int:
     return 1
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _emit(obj: dict, as_json: bool, text: str) -> None:
     if as_json:
         print(json.dumps(obj, indent=2))
@@ -216,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--suite", default="all",
                    choices=["all"] + sorted(lemmas.ALL_SUITES))
     c.add_argument("--seed", type=int, default=0)
-    c.add_argument("--count", type=int, default=1000)
+    c.add_argument("--count", type=_positive_int, default=1000)
     c.add_argument("--json", action="store_true")
     c.set_defaults(func=cmd_lemmas)
 

@@ -151,6 +151,10 @@ def _build_pair_index(edges: Sequence[Triple]) -> dict[tuple[int, int], int]:
     return idx
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def validate_linear(triples: Iterable[Sequence[int]], n: int) -> LinearThreeGraph:
     """Validate and normalize a raw triple list into a LinearThreeGraph.
 
@@ -166,7 +170,7 @@ def validate_linear(triples: Iterable[Sequence[int]], n: int) -> LinearThreeGrap
         if len(t) != 3:
             raise LinearityError(f"edge {t} does not have 3 vertices")
         for v in t:
-            if not isinstance(v, int) or isinstance(v, bool):
+            if not _is_int(v):
                 raise LinearityError(f"edge {t} has a non-integer vertex")
             if not (0 <= v < n):
                 raise LinearityError(f"edge {t}: vertex {v} out of range [0, {n})")
@@ -245,4 +249,12 @@ def parse_json_graph(text: str) -> LinearThreeGraph:
         raise LinearityError(f"invalid JSON: {exc}") from None
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise LinearityError("JSON graph must be an object with 'n' and 'edges'")
-    return validate_linear(obj["edges"], obj["n"])
+    n, edges = obj["n"], obj["edges"]
+    if not _is_int(n):
+        raise LinearityError(f"JSON 'n' must be an integer, got {n!r}")
+    if not isinstance(edges, list):
+        raise LinearityError("JSON 'edges' must be a list of 3-integer lists")
+    for t in edges:
+        if not (isinstance(t, list) and len(t) == 3 and all(_is_int(v) for v in t)):
+            raise LinearityError(f"JSON edge {t!r} is not a list of 3 integers")
+    return validate_linear(edges, n)

@@ -4,9 +4,10 @@ Generation is canonical augmentation: a child H+e is accepted only when
 deleting the canonical-deletion edge of H+e (the edge mapped to the
 lexicographically last canonical edge) lands back on the parent's
 isomorphism class; candidate additions are filtered down to one per
-Aut(H)-orbit and accepted children are deduplicated per parent, so each
-class is visited exactly once.  exact search additionally prunes by an
-edge-capacity bound and maintains an incumbent seeded from the
+Aut(H)-orbit (closing each candidate under the generators that canonical
+labelling returns) and accepted children are deduplicated per parent, so
+each class is visited exactly once.  exact search additionally prunes by
+an edge-capacity bound and maintains an incumbent seeded from the
 lower-bound gadget.
 """
 
@@ -113,9 +114,13 @@ def _candidate_edges(node: _Node, max_vertices: int) -> list[Triple]:
     return out
 
 
-def _orbit_reps(candidates: list[Triple], auts) -> list[Triple]:
-    """One representative per Aut(H)-orbit (identity on not-yet-used labels)."""
-    if len(auts) <= 1:
+def _orbit_reps(candidates: list[Triple], gens) -> list[Triple]:
+    """One representative per Aut(H)-orbit, the first in candidate order.
+
+    gens generate Aut(H) (identity on not-yet-used labels); each orbit is
+    the closure of its representative under them.
+    """
+    if not gens:
         return candidates
     seen: set[Triple] = set()
     reps: list[Triple] = []
@@ -123,9 +128,15 @@ def _orbit_reps(candidates: list[Triple], auts) -> list[Triple]:
         if e in seen:
             continue
         reps.append(e)
-        for alpha in auts:
-            img = tuple(sorted(alpha.get(v, v) for v in e))
-            seen.add(img)
+        seen.add(e)
+        frontier = [e]
+        while frontier:
+            t = frontier.pop()
+            for alpha in gens:
+                img = tuple(sorted(alpha.get(v, v) for v in t))
+                if img not in seen:
+                    seen.add(img)
+                    frontier.append(img)
     return reps
 
 
@@ -258,6 +269,11 @@ def exact_ex(
     5n/3 cap is never used for pruning unless unsafe_5n3_prune is set (it
     would be circular in any run meant as evidence).  On budget exhaustion
     the best incumbent is returned with exhaustive=False.
+
+    Both budgets are checked on every node visited.  max_seconds can
+    therefore be overrun by the expansion of one node (its candidates'
+    crown checks and canonical tests) plus the lower-bound set-up before
+    the search and the witness recheck after it.
     """
     if n < 3:
         raise ValueError("need n >= 3")
@@ -276,7 +292,7 @@ def exact_ex(
         nodes[0] += 1
         if max_nodes is not None and nodes[0] > max_nodes:
             raise BudgetExceeded
-        if deadline is not None and nodes[0] % 256 == 0 and time.monotonic() > deadline:
+        if deadline is not None and time.monotonic() > deadline:
             raise BudgetExceeded
         m = len(node.edges)
         if m >= inc.value:

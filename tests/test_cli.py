@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -46,6 +47,23 @@ class TestCheck:
         p.write_text(validate_linear(FANO_EDGES, 7).to_json())
         assert run(["check", str(p)]) == 0
 
+    @pytest.mark.parametrize("text", [
+        '{"n": "5", "edges": []}',
+        '{"n": true, "edges": []}',
+        '{"n": 5.0, "edges": []}',
+        '{"n": 5, "edges": "012"}',
+        '{"n": 5, "edges": {"0": [0, 1, 2]}}',
+        '{"n": 5, "edges": [[0, 1]]}',
+        '{"n": 5, "edges": [[0, 1, "2"]]}',
+        '{"n": 5, "edges": [[0, 1, false]]}',
+        '{"n": 5, "edges": [7]}',
+    ])
+    def test_json_wrong_types_exit_1(self, tmp_path, capsys, text):
+        p = tmp_path / "g.json"
+        p.write_text(text)
+        assert run(["check", str(p)]) == 1
+        assert capsys.readouterr().err.startswith("error: JSON")
+
 
 class TestRandomRoundTrip:
     def test_round_trip(self, tmp_path, capsys):
@@ -78,6 +96,12 @@ class TestExact:
     def test_text_mode(self, capsys):
         assert run(["exact", "--n", "6"]) == 0
         assert "ex(6, crown) = 4" in capsys.readouterr().out
+
+    def test_max_seconds_within_one_node(self, capsys):
+        t0 = time.monotonic()
+        assert run(["exact", "--n", "13", "--max-seconds", "0.5"]) == 3
+        assert time.monotonic() - t0 < 1.5
+        assert "INCOMPLETE" in capsys.readouterr().out
 
 
 class TestConstruct:
@@ -143,6 +167,11 @@ class TestLemmas:
 
     def test_unknown_suite_usage_error(self):
         assert run(["lemmas", "--suite", "bogus"]) == 1
+
+    @pytest.mark.parametrize("count", ["-3", "0", "x"])
+    def test_count_below_one_usage_error(self, capsys, count):
+        assert run(["lemmas", "--suite", "lemma1", "--count", count]) == 1
+        assert "--count" in capsys.readouterr().err
 
 
 class TestUsage:

@@ -12,6 +12,7 @@ from crownfree import (
 )
 from crownfree.canon import canonical_form
 
+from canon_reference import closure, is_automorphism
 from conftest import CROWN_EDGES, FANO_EDGES
 
 
@@ -199,4 +200,6 @@ class TestCanonicalForm:
         assert tuple(relabeled) == res.edges
 
     def test_fano_automorphism_count(self, fano):
-        assert len(canonical_form(fano).auts) == 168
+        res = canonical_form(fano)
+        assert len(closure(res.auts, res.cover)) == 168
+        assert all(is_automorphism(alpha, fano.edges) for alpha in res.auts)

@@ -15,6 +15,7 @@ from .crowns import (
     find_crown_with_base,
     find_rainbow_matching,
     greedy_crown_642,
+    has_crown_containing,
     link_graph,
 )
 from .discharging import (

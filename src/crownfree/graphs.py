@@ -73,10 +73,6 @@ class LinearThreeGraph:
 
     # -- primitive queries -------------------------------------------------
 
-    def degree(self, v: int) -> int:
-        self._check_vertex(v)
-        return sum(1 for e in self.edges if v in e)
-
     def degrees(self) -> list[int]:
         d = [0] * self.n
         for a, b, c in self.edges:

@@ -6,8 +6,12 @@ lexicographically last canonical edge) lands back on the parent's
 isomorphism class; candidate additions are filtered down to one per
 Aut(H)-orbit (closing each candidate under the generators that canonical
 labelling returns) and accepted children are deduplicated per parent, so
-each class is visited exactly once.  exact search additionally prunes by
-an edge-capacity bound and maintains an incumbent seeded from the
+each class is visited exactly once.  Crown-free runs cut a candidate
+before its canonical test when crowns.has_crown_containing finds a crown
+through the new edge; the parent is crown-free, so that is exactly when
+the child has a crown.  One routine, _children, expands a node for both
+generate_all and exact_ex.  exact search additionally prunes by an
+edge-capacity bound and maintains an incumbent seeded from the
 lower-bound gadget.
 """
 
@@ -19,10 +23,10 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .canon import CanonResult, canonical_edges
-from .crowns import crown_oracle, find_crown, find_crown_with_base
+from .crowns import crown_oracle, find_crown, has_crown_containing
 from .graphs import LinearThreeGraph, Triple, from_edges_trusted, validate_linear
 
 
@@ -140,18 +144,6 @@ def _orbit_reps(candidates: list[Triple], gens) -> list[Triple]:
     return reps
 
 
-def _creates_crown(node: _Node, child: _Node, e: Triple) -> bool:
-    """Assuming the parent is crown-free, check only bases touching e."""
-    H = child.graph()
-    new_id = H.edges.index(e)
-    es = set(e)
-    for i, f in enumerate(H.edges):
-        if i == new_id or es.intersection(f):
-            if find_crown_with_base(H, i) is not None:
-                return True
-    return False
-
-
 def _invariant(edges: tuple[Triple, ...]) -> tuple:
     """Cheap isomorphism invariant used to fast-reject parent mismatches."""
     deg: dict[int, int] = {}
@@ -184,44 +176,40 @@ def _accept(node: _Node, child: _Node, e: Triple) -> bool:
     return canonical_edges(max(child.cov, 1), rest).edges == node.canon.edges
 
 
+def _children(node: _Node, max_vertices: int, crown_free: bool) -> list[_Node]:
+    """Accepted children of node, one per isomorphism class: candidates,
+    one per Aut(H)-orbit, minus those creating a crown (if crown_free),
+    minus those failing the canonical-augmentation test, deduplicated."""
+    seen: set[tuple[Triple, ...]] = set()
+    out: list[_Node] = []
+    for e in _orbit_reps(_candidate_edges(node, max_vertices), node.canon.auts):
+        child = _extend(node, e)
+        if crown_free and has_crown_containing(child.edges, e):
+            continue
+        if not _accept(node, child, e):
+            continue
+        if child.canon.edges in seen:
+            continue
+        seen.add(child.canon.edges)
+        out.append(child)
+    return out
+
+
 # -- generation ----------------------------------------------------------------
 
-def generate_all(
-    max_vertices: int,
-    crown_free_only: bool = False,
-    prune: Callable[[_Node], bool] | None = None,
-    visit: Callable[[_Node], None] | None = None,
-) -> Iterator[LinearThreeGraph]:
+def generate_all(max_vertices: int, crown_free_only: bool = False) -> Iterator[LinearThreeGraph]:
     """Yield one representative per isomorphism class of linear 3-graphs
     whose covered vertices fit in max_vertices labels.
 
     With crown_free_only, subtrees containing a crown are cut (crown-free
-    graphs are closed under edge deletion, so this loses nothing).  prune
-    may cut subtrees; visit observes every node (used by exact search).
+    graphs are closed under edge deletion, so this loses nothing).
     """
     stack = [_root()]
     while stack:
         node = stack.pop()
-        if visit is not None:
-            visit(node)
         if node.edges:
             yield node.graph()
-        if prune is not None and prune(node):
-            continue
-        cands = _orbit_reps(_candidate_edges(node, max_vertices), node.canon.auts)
-        seen_children: set[tuple[Triple, ...]] = set()
-        children = []
-        for e in cands:
-            child = _extend(node, e)
-            if crown_free_only and len(child.edges) >= 4 and _creates_crown(node, child, e):
-                continue
-            if not _accept(node, child, e):
-                continue
-            if child.canon.edges in seen_children:
-                continue
-            seen_children.add(child.canon.edges)
-            children.append(child)
-        stack.extend(children)
+        stack.extend(_children(node, max_vertices, crown_free_only))
 
 
 # -- exact Turán number ----------------------------------------------------------
@@ -284,11 +272,10 @@ def exact_ex(
         inc.witnesses.add(canonical_edges(n, seed_graph.edges).edges)
     nodes = [0]
     deadline = t0 + max_seconds if max_seconds is not None else None
-    aborted = [False]
 
     hard_cap = (5 * n - 1) // 3 if unsafe_5n3_prune else None
 
-    def visit(node: _Node) -> None:
+    def expand(node: _Node) -> list[_Node]:
         nodes[0] += 1
         if max_nodes is not None and nodes[0] > max_nodes:
             raise BudgetExceeded
@@ -297,32 +284,17 @@ def exact_ex(
         m = len(node.edges)
         if m >= inc.value:
             inc.offer(m, node.canon.edges if m > 0 else None)
-
-    def prune(node: _Node) -> bool:
         bound = _capacity_bound(node, n)
         if hard_cap is not None:
             bound = min(bound, hard_cap)
-        return bound < inc.value
+        if bound < inc.value:
+            return []
+        return _children(node, n, crown_free=True)
 
     def run_subtree(start: _Node) -> None:
         stack = [start]
         while stack:
-            node = stack.pop()
-            visit(node)
-            if prune(node):
-                continue
-            cands = _orbit_reps(_candidate_edges(node, n), node.canon.auts)
-            seen: set = set()
-            for e in cands:
-                child = _extend(node, e)
-                if len(child.edges) >= 4 and _creates_crown(node, child, e):
-                    continue
-                if not _accept(node, child, e):
-                    continue
-                if child.canon.edges in seen:
-                    continue
-                seen.add(child.canon.edges)
-                stack.append(child)
+            stack.extend(expand(stack.pop()))
 
     try:
         root = _root()
@@ -330,15 +302,8 @@ def exact_ex(
             run_subtree(root)
         else:
             # expand the root once, then farm out first-level subtrees
-            visit(root)
-            cands = _orbit_reps(_candidate_edges(root, n), root.canon.auts)
-            tops = []
-            for e in cands:
-                child = _extend(root, e)
-                if _accept(root, child, e):
-                    tops.append(child)
             with ThreadPoolExecutor(max_workers=threads) as pool:
-                for fut in [pool.submit(run_subtree, t) for t in tops]:
+                for fut in [pool.submit(run_subtree, t) for t in expand(root)]:
                     fut.result()
         exhaustive = True
     except BudgetExceeded:
@@ -431,16 +396,7 @@ def densify_crown_free(n: int, seed: int, iterations: int = 2000) -> LinearThree
         for t in combinations(range(n), 3):
             if (t[0], t[1]) in pairs or (t[0], t[2]) in pairs or (t[1], t[2]) in pairs:
                 continue
-            H2 = from_edges_trusted(n, edges + [t])
-            new_id = H2.edges.index(t)
-            ts = set(t)
-            ok = True
-            for i, f in enumerate(H2.edges):
-                if i == new_id or ts.intersection(f):
-                    if find_crown_with_base(H2, i) is not None:
-                        ok = False
-                        break
-            if ok:
+            if not has_crown_containing(edges + [t], t):
                 out.append(t)
         return out
 

@@ -1,12 +1,16 @@
 import json
+import os
+import tempfile
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crownfree import parse_l3g, validate_linear, crown_oracle
 from crownfree.cli import run
 
-from conftest import CROWN_EDGES, FANO_EDGES
+from conftest import CROWN_EDGES, FANO_EDGES, ag23
 
 
 def write_graph(tmp_path, edges, n, name="g.l3g"):
@@ -63,6 +67,42 @@ class TestCheck:
         p.write_text(text)
         assert run(["check", str(p)]) == 1
         assert capsys.readouterr().err.startswith("error: JSON")
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 15) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=16,
+)
+_graph_like = st.fixed_dictionaries({
+    "n": st.integers(-3, 15) | _json_values,
+    "edges": st.lists(st.lists(st.integers(-3, 15), max_size=4), max_size=12) | _json_values,
+})
+_l3g_line = st.lists(st.integers(-3, 15), max_size=4).map(lambda xs: " ".join(map(str, xs)))
+_l3g_text = st.lists(_l3g_line | st.text(max_size=8), min_size=1, max_size=14).map("\n".join)
+# sub-graphs of AG(2,3): valid input, with or without a crown
+_sub_ag23 = st.lists(st.sampled_from(ag23().edges), unique=True).map(
+    lambda es: validate_linear(es, 9)
+)
+_inputs = st.one_of(
+    st.tuples(st.just("g.json"), (_graph_like | _json_values).map(json.dumps)),
+    st.tuples(st.just("g.json"), _sub_ag23.map(lambda g: g.to_json())),
+    st.tuples(st.just("g.l3g"), _sub_ag23.map(lambda g: g.to_l3g())),
+    st.tuples(st.sampled_from(["g.json", "g.l3g"]), _l3g_text | st.text(max_size=40)),
+)
+
+
+class TestCheckFuzz:
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(_inputs, st.booleans())
+    def test_exit_code_contract(self, named_text, as_json):
+        name, text = named_text
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, name)
+            with open(path, "w", encoding="utf-8", errors="surrogatepass") as fh:
+                fh.write(text)
+            code = run(["check", path] + (["--json"] if as_json else []))
+        assert code in (0, 1, 2, 3)
 
 
 class TestRandomRoundTrip:

@@ -9,13 +9,15 @@ from crownfree import (
     find_crown_with_base,
     find_rainbow_matching,
     greedy_crown_642,
+    has_crown_containing,
     link_graph,
     validate_linear,
 )
+from crownfree import search
 from crownfree.crowns import ColoredLinkGraph
-from crownfree.search import random_linear_graph
+from crownfree.search import generate_all, random_linear_graph
 
-from conftest import ag23
+from conftest import CROWN_EDGES, ag23
 
 
 def sunflower(da, db, dc):
@@ -180,3 +182,63 @@ class TestOracle:
                     except ValueError:
                         pass
                 assert got == brute
+
+
+def oracle_has_crown(edges, n):
+    return crown_oracle(validate_linear(edges, n)) is not None
+
+
+class TestHasCrownContaining:
+    """has_crown_containing(child, e) against crown_oracle(child) for a
+    crown-free parent: the child has a crown iff one uses the new edge."""
+
+    @pytest.mark.parametrize("e", CROWN_EDGES)
+    def test_crown_each_edge(self, e):
+        # (0,1,2) is the base, the other three edges are jewels
+        assert has_crown_containing(CROWN_EDGES, e)
+
+    def test_crown_plus_far_edge(self):
+        # the graph has a crown, but not through the added edge
+        edges = CROWN_EDGES + [(9, 10, 11)]
+        assert not has_crown_containing(edges, (9, 10, 11))
+        assert has_crown_containing(edges, (0, 1, 2))
+
+    def test_every_search_child_to_n9(self, monkeypatch):
+        children = []
+        real = search.has_crown_containing
+
+        def record(edges, e):
+            got = real(edges, e)
+            children.append((edges, e, got))
+            return got
+
+        monkeypatch.setattr(search, "has_crown_containing", record)
+        classes = sum(1 for _ in generate_all(9, crown_free_only=True))
+        assert classes == 124
+        assert len(children) > 500
+        hits = 0
+        for edges, e, got in children:
+            assert got == oracle_has_crown(edges, 9), (edges, e)
+            hits += got
+        assert 0 < hits < len(children)
+
+    def test_random_crown_free_growth(self):
+        rng = random.Random(2021)
+        hits = misses = 0
+        for _ in range(200):
+            n = rng.randint(9, 13)
+            edges, pairs = [], set()
+            for _ in range(60):
+                t = tuple(sorted(rng.sample(range(n), 3)))
+                ps = {(t[0], t[1]), (t[0], t[2]), (t[1], t[2])}
+                if ps & pairs:
+                    continue
+                child = edges + [t]
+                got = has_crown_containing(child, t)
+                assert got == oracle_has_crown(child, n), (child, t)
+                if got:
+                    hits += 1
+                else:
+                    misses += 1
+                    edges, pairs = child, pairs | ps
+        assert hits > 500 and misses > 500

@@ -103,10 +103,12 @@ class TestExactEx:
         c1 = exact_ex(9, threads=1)
         c2 = exact_ex(9, threads=2)
         c4 = exact_ex(9, threads=4)
+        assert c1.nodes_explored == 125
         for c in (c2, c4):
             assert c.value == c1.value
             assert c.witnesses == c1.witnesses
             assert c.exhaustive == c1.exhaustive
+            assert c.nodes_explored == c1.nodes_explored
 
     def test_monotone_in_n(self):
         vals = [exact_ex(n).value for n in range(3, 10)]
@@ -159,6 +161,12 @@ class TestDensify:
         H = densify_crown_free(11, seed=3, iterations=30)
         assert len(H.edges) >= 12
         assert find_crown(H) is None
+        # the seeded output is fixed
+        assert H.edges == (
+            (0, 1, 2), (0, 3, 4), (0, 5, 6), (0, 7, 8), (0, 9, 10),
+            (1, 3, 5), (1, 4, 6), (1, 7, 9), (1, 8, 10),
+            (2, 3, 6), (2, 4, 5), (2, 7, 10), (2, 8, 9),
+        )
 
     def test_never_beats_exact(self):
         v = exact_ex(9).value

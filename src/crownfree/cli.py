@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from fractions import Fraction
 
 from . import discharging, lemmas
 from .crowns import find_crown, link_graph
@@ -32,16 +30,6 @@ def _load_graph(path: str) -> LinearThreeGraph:
     if path.endswith(".json") or text.lstrip().startswith("{"):
         return parse_json_graph(text)
     return parse_l3g(text)
-
-
-def _default_threads() -> int:
-    env = os.environ.get("CROWNFREE_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
 
 
 def _positive_int(text: str) -> int:
@@ -190,7 +178,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("exact", help="exact crown Turán number by exhaustive search")
     c.add_argument("--n", type=int, required=True)
-    c.add_argument("--threads", type=int, default=_default_threads())
+    c.add_argument("--threads", type=_positive_int, default=1,
+                   help="recorded in the certificate; the search runs in one thread")
     c.add_argument("--max-seconds", type=float, default=None)
     c.add_argument("--max-nodes", type=int, default=None)
     c.add_argument("--unsafe-5n3-prune", action="store_true",

@@ -24,10 +24,16 @@ def s_of(H: LinearThreeGraph, e: int) -> int:
     return H.degree_vector(e).s
 
 
+def _star_sums(degs: list[int], edge) -> tuple[int, int]:
+    """(s, s*) of an edge under the degree list degs."""
+    ds = [degs[u] for u in edge]
+    s = sum(ds)
+    return s, (min(s, 15) if max(ds) >= 9 else s)
+
+
 def s_star(H: LinearThreeGraph, e: int) -> int:
     """s(e) clamped to 15 when the maximum endpoint degree is >= 9."""
-    dv = H.degree_vector(e)
-    return min(dv.s, 15) if dv.x >= 9 else dv.s
+    return _star_sums(H.degrees(), H.edge(e))[1]
 
 
 def large_set(H: LinearThreeGraph) -> set[int]:
@@ -37,7 +43,8 @@ def large_set(H: LinearThreeGraph) -> set[int]:
 
 def t_star(H: LinearThreeGraph) -> int:
     """Sum of s* over all edges; equals sum of d(v)^2 when no vertex is large."""
-    return sum(s_star(H, e) for e in range(len(H.edges)))
+    degs = H.degrees()
+    return sum(_star_sums(degs, edge)[1] for edge in H.edges)
 
 
 def lemma2_rhs(n: int, L: int) -> Fraction:
@@ -273,10 +280,12 @@ def star_deficit_check(H: LinearThreeGraph, v: int) -> StarDeficitResult:
     offending = []
     deficit = 0
     for e in H.edges_at(v):
-        for u in H.edge(e):
+        edge = H.edge(e)
+        for u in edge:
             if u != v and degs[u] > 3:
                 offending.append(u)
-        deficit += s_of(H, e) - s_star(H, e)
+        s, s_st = _star_sums(degs, edge)
+        deficit += s - s_st
     bound = m * m - 9 * m
     return StarDeficitResult(
         deficit=deficit,

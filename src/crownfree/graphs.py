@@ -37,10 +37,6 @@ class DegreeVector:
     def s(self) -> int:
         return self.x + self.y + self.z
 
-    def dominates(self, other: "DegreeVector") -> bool:
-        """Componentwise partial order: self >= other in all coordinates."""
-        return self.x >= other.x and self.y >= other.y and self.z >= other.z
-
     def as_tuple(self) -> Triple:
         return (self.x, self.y, self.z)
 

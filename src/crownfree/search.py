@@ -10,17 +10,16 @@ each class is visited exactly once.  Crown-free runs cut a candidate
 before its canonical test when crowns.has_crown_containing finds a crown
 through the new edge; the parent is crown-free, so that is exactly when
 the child has a crown.  One routine, _children, expands a node for both
-generate_all and exact_ex.  exact search additionally prunes by an
-edge-capacity bound and maintains an incumbent seeded from the
-lower-bound gadget.
+generate_all and exact_ex.  exact_ex walks the tree in one serial
+depth-first loop (the root has a single child, so there is nothing to
+split across workers); it additionally prunes by an edge-capacity bound
+and keeps an incumbent seeded from the lower-bound gadget.
 """
 
 from __future__ import annotations
 
 import random
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterator
@@ -28,10 +27,6 @@ from typing import Iterator
 from .canon import CanonResult, canonical_edges
 from .crowns import crown_oracle, find_crown, has_crown_containing
 from .graphs import LinearThreeGraph, Triple, from_edges_trusted, validate_linear
-
-
-class BudgetExceeded(Exception):
-    pass
 
 
 @dataclass
@@ -227,19 +222,7 @@ def _capacity_bound(node: _Node, n: int) -> int:
     return min(cap_pairs, cap_vertex)
 
 
-@dataclass
-class _Incumbent:
-    value: int
-    witnesses: set
-    lock: threading.Lock = field(default_factory=threading.Lock)
-
-    def offer(self, m: int, canon_edges_t) -> None:
-        with self.lock:
-            if m > self.value:
-                self.value = m
-                self.witnesses = set()
-            if m == self.value and canon_edges_t is not None:
-                self.witnesses.add(canon_edges_t)
+WITNESS_CAP = 10  # witnesses kept in a certificate, the least canonical first
 
 
 def exact_ex(
@@ -247,16 +230,17 @@ def exact_ex(
     max_seconds: float | None = None,
     max_nodes: int | None = None,
     threads: int = 1,
-    witness_cap: int = 10,
     unsafe_5n3_prune: bool = False,
-    recheck_witnesses: bool = True,
 ) -> ExtremalCertificate:
     """Exact crown Turán number on n vertices by isomorph-free search.
 
-    The incumbent is seeded with the lower-bound gadget.  The theorem-level
-    5n/3 cap is never used for pruning unless unsafe_5n3_prune is set (it
-    would be circular in any run meant as evidence).  On budget exhaustion
-    the best incumbent is returned with exhaustive=False.
+    The search is one serial depth-first loop.  threads selects no code
+    path: it is only recorded in the certificate's params.  The incumbent
+    is seeded with the lower-bound gadget.  The theorem-level 5n/3 cap is
+    never used for pruning unless unsafe_5n3_prune is set (it would be
+    circular in any run meant as evidence).  On budget exhaustion the best
+    incumbent is returned with exhaustive=False.  Every witness returned
+    (at most WITNESS_CAP) is rechecked against crown_oracle.
 
     Both budgets are checked on every node visited.  max_seconds can
     therefore be overrun by the expansion of one node (its candidates'
@@ -267,60 +251,46 @@ def exact_ex(
         raise ValueError("need n >= 3")
     t0 = time.monotonic()
     seed_graph = lower_bound_construction(n)
-    inc = _Incumbent(len(seed_graph.edges), set())
+    best = len(seed_graph.edges)
+    found: set[tuple[Triple, ...]] = set()
     if seed_graph.edges:
-        inc.witnesses.add(canonical_edges(n, seed_graph.edges).edges)
-    nodes = [0]
+        found.add(canonical_edges(n, seed_graph.edges).edges)
+    nodes = 0
     deadline = t0 + max_seconds if max_seconds is not None else None
-
     hard_cap = (5 * n - 1) // 3 if unsafe_5n3_prune else None
 
-    def expand(node: _Node) -> list[_Node]:
-        nodes[0] += 1
-        if max_nodes is not None and nodes[0] > max_nodes:
-            raise BudgetExceeded
-        if deadline is not None and time.monotonic() > deadline:
-            raise BudgetExceeded
+    stack = [_root()]
+    exhaustive = True
+    while stack:
+        node = stack.pop()
+        nodes += 1
+        if (max_nodes is not None and nodes > max_nodes) or (
+            deadline is not None and time.monotonic() > deadline
+        ):
+            exhaustive = False
+            break
         m = len(node.edges)
-        if m >= inc.value:
-            inc.offer(m, node.canon.edges if m > 0 else None)
+        if m > best:
+            best, found = m, set()
+        if m == best and m > 0:
+            found.add(node.canon.edges)
         bound = _capacity_bound(node, n)
         if hard_cap is not None:
             bound = min(bound, hard_cap)
-        if bound < inc.value:
-            return []
-        return _children(node, n, crown_free=True)
+        if bound >= best:
+            stack.extend(_children(node, n, crown_free=True))
 
-    def run_subtree(start: _Node) -> None:
-        stack = [start]
-        while stack:
-            stack.extend(expand(stack.pop()))
-
-    try:
-        root = _root()
-        if threads <= 1:
-            run_subtree(root)
-        else:
-            # expand the root once, then farm out first-level subtrees
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                for fut in [pool.submit(run_subtree, t) for t in expand(root)]:
-                    fut.result()
-        exhaustive = True
-    except BudgetExceeded:
-        exhaustive = False
-
-    witnesses = sorted(inc.witnesses)[:witness_cap]
-    if recheck_witnesses:
-        for w in witnesses:
-            g = from_edges_trusted(n, w)
-            assert len(g.edges) == inc.value
-            validate_linear(g.edges, n)
-            assert crown_oracle(g) is None, "witness fails the crown oracle"
+    witnesses = sorted(found)[:WITNESS_CAP]
+    for w in witnesses:
+        g = from_edges_trusted(n, w)
+        assert len(g.edges) == best
+        validate_linear(g.edges, n)
+        assert crown_oracle(g) is None, "witness fails the crown oracle"
     return ExtremalCertificate(
         n=n,
-        value=inc.value,
+        value=best,
         witnesses=witnesses,
-        nodes_explored=nodes[0],
+        nodes_explored=nodes,
         exhaustive=exhaustive,
         elapsed_seconds=time.monotonic() - t0,
         params={
@@ -356,10 +326,14 @@ def lower_bound_construction(n: int) -> LinearThreeGraph:
     return H
 
 
-def random_linear_graph(n: int, m: int, seed: int, retry_budget: int = 2000) -> LinearThreeGraph:
+RETRY_BUDGET = 2000  # rejected triples before random_linear_graph gives up
+
+
+def random_linear_graph(n: int, m: int, seed: int) -> LinearThreeGraph:
     """Seeded random linear graph: rejection-sample triples avoiding pair reuse.
 
-    Returns fewer than m edges if the budget runs out before saturation.
+    Returns fewer than m edges if RETRY_BUDGET rejections come before
+    saturation.
     """
     if m > n * (n - 1) // 6:
         raise ValueError(f"m = {m} exceeds the linearity cap n(n-1)/6 = {n * (n - 1) // 6}")
@@ -367,7 +341,7 @@ def random_linear_graph(n: int, m: int, seed: int, retry_budget: int = 2000) -> 
     pairs: set[tuple[int, int]] = set()
     edges: list[Triple] = []
     misses = 0
-    while len(edges) < m and misses < retry_budget:
+    while len(edges) < m and misses < RETRY_BUDGET:
         t = tuple(sorted(rng.sample(range(n), 3)))
         ps = [(t[0], t[1]), (t[0], t[2]), (t[1], t[2])]
         if any(p in pairs for p in ps):

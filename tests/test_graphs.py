@@ -89,7 +89,7 @@ class TestDominates:
         assert dominates((7, 4, 3), (6, 4, 2))
 
     def test_degree_vector_objects(self):
-        assert DegreeVector(7, 4, 3).dominates(DegreeVector(6, 4, 2))
+        assert dominates(DegreeVector(7, 4, 3), DegreeVector(6, 4, 2))
 
     def test_non_increasing_enforced(self):
         with pytest.raises(ValueError):

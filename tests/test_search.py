@@ -110,6 +110,16 @@ class TestExactEx:
             assert c.exhaustive == c1.exhaustive
             assert c.nodes_explored == c1.nodes_explored
 
+    def test_unsafe_5n3_prune_same_result(self):
+        safe = exact_ex(10)
+        cut = exact_ex(10, unsafe_5n3_prune=True)
+        assert cut.value == safe.value == 11
+        assert cut.witnesses == safe.witnesses
+        assert cut.exhaustive
+        assert cut.nodes_explored <= safe.nodes_explored == 618
+        assert cut.params["unsafe_5n3_prune"] is True
+        assert safe.params["unsafe_5n3_prune"] is False
+
     def test_monotone_in_n(self):
         vals = [exact_ex(n).value for n in range(3, 10)]
         assert vals == sorted(vals)

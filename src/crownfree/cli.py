@@ -63,7 +63,6 @@ def cmd_exact(args) -> int:
         args.n,
         max_seconds=args.max_seconds,
         max_nodes=args.max_nodes,
-        threads=args.threads,
         unsafe_5n3_prune=args.unsafe_5n3_prune,
     )
     obj = {"schema": "crownfree/certificate-v1", **cert.to_json_obj()}
@@ -178,8 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("exact", help="exact crown Turán number by exhaustive search")
     c.add_argument("--n", type=int, required=True)
-    c.add_argument("--threads", type=_positive_int, default=1,
-                   help="recorded in the certificate; the search runs in one thread")
     c.add_argument("--max-seconds", type=float, default=None)
     c.add_argument("--max-nodes", type=int, default=None)
     c.add_argument("--unsafe-5n3-prune", action="store_true",

@@ -137,24 +137,6 @@ class TestExact:
         assert run(["exact", "--n", "6"]) == 0
         assert "ex(6, crown) = 4" in capsys.readouterr().out
 
-    def test_threads_recorded_only(self, capsys):
-        outs = []
-        for threads in ("1", "2"):
-            assert run(["exact", "--n", "9", "--threads", threads, "--json"]) == 0
-            outs.append(json.loads(capsys.readouterr().out))
-        one, two = outs
-        assert one["params"]["threads"] == 1 and two["params"]["threads"] == 2
-        for key in ("value", "witnesses", "nodes_explored", "exhaustive"):
-            assert two[key] == one[key]
-        assert one["nodes_explored"] == 125
-
-    @pytest.mark.parametrize("threads", ["0", "-5", "x"])
-    def test_threads_below_one_usage_error(self, capsys, threads):
-        assert run(["exact", "--n", "9", "--threads", threads, "--json"]) == 1
-        captured = capsys.readouterr()
-        assert "--threads" in captured.err
-        assert captured.out == ""
-
     def test_max_seconds_within_one_node(self, capsys):
         t0 = time.monotonic()
         assert run(["exact", "--n", "13", "--max-seconds", "0.5"]) == 3

@@ -6,6 +6,20 @@ least edge list over the leaves of the individualization tree is the
 canonical form; the tree itself is an isomorphism invariant, so
 isomorphic graphs get identical canonical edge lists.
 
+The partition is an ordered list of cells; a vertex's color is the
+position where its cell starts.  The root is seeded with the degree
+classes in increasing degree, which is exactly the first round of
+refinement from a uniform coloring.  Refinement runs in synchronous
+rounds: each round signs vertices by the sorted color pairs of their
+co-pairs, using the colors at the start of the round, and splits every
+cell in place by increasing signature.  Only cells next to a vertex that
+changed cell in the previous round can split (at a tree node, the vertex
+just individualized), so only those cells are signed; the rest would
+come out unchanged.  The rounds stay synchronous on purpose: an
+asynchronous splitter queue, as in nauty, would order the cells
+differently, which would change the canonical forms, and with them the
+canonical deletion edges and the search tree built on them.
+
 The tree is pruned by automorphisms (McKay & Piperno, *Practical Graph
 Isomorphism II*, J. Symb. Comput. 2014).  A leaf with the same edge image
 as lab0, the first leaf of the least image found so far, differs from it
@@ -84,32 +98,64 @@ def canonical_edges(n: int, edges: Sequence[Triple]) -> CanonResult:
     cover = sorted({v for e in edges for v in e})
     k = len(cover)
     pos = {v: i for i, v in enumerate(cover)}
-    # co-pairs per covered vertex: the other two endpoints of each incident edge
+    # co-pairs per covered vertex (the other two endpoints of each incident
+    # edge) and the neighbours they hold, distinct since H is linear
     copairs: list[list[tuple[int, int]]] = [[] for _ in range(k)]
     for a, b, c in edges:
         pa, pb, pc = pos[a], pos[b], pos[c]
         copairs[pa].append((pb, pc))
         copairs[pb].append((pa, pc))
         copairs[pc].append((pa, pb))
+    nbrs = [[u for pair in cp for u in pair] for cp in copairs]
 
     edge_pos = [(pos[a], pos[b], pos[c]) for a, b, c in edges]
 
-    def refine(colors: list[int]) -> list[int]:
-        ncells = len(set(colors))
-        while True:
-            sigs = []
-            for v in range(k):
-                cv = colors[v]
-                sig = sorted(
-                    (colors[u], colors[w]) if colors[u] <= colors[w] else (colors[w], colors[u])
-                    for u, w in copairs[v]
-                )
-                sigs.append((cv, tuple(sig)))
-            order = {s: i for i, s in enumerate(sorted(set(sigs)))}
-            if len(order) == ncells:
-                return [order[s] for s in sigs]
-            colors = [order[s] for s in sigs]
-            ncells = len(order)
+    # An ordered partition is three lists: lab, the vertices in cell order;
+    # col[v], the start in lab of v's cell (its color); end[s], one past
+    # the last position of the cell starting at s.
+    def refine(lab: list[int], col: list[int], end: list[int], split: Sequence[int]) -> None:
+        """Refine in place by synchronous rounds, given that each cell
+        had one signature before the vertices in split left their cells.
+
+        A vertex's signature is the sorted list of its co-pairs' color
+        pairs, each packed as min*k + max (ordered as the pair is).  A
+        round signs with the colors at its start, then splits every cell
+        into pieces by increasing signature, in place.  A cell with no
+        vertex next to split sees, from each of its vertices, the old
+        colors under one renaming (what is left of a cell keeps one
+        color), so it cannot split: only the non-singleton cells next to
+        split are signed.  The next round's split is every vertex of a
+        cell this one split."""
+        while split:
+            starts = {col[u] for v in split for u in nbrs[v]}
+            todo = []
+            for s in starts:
+                e = end[s]
+                if e - s == 1:
+                    continue
+                signed = []
+                for v in lab[s:e]:
+                    sig = []
+                    for u, w in copairs[v]:
+                        cu, cw = col[u], col[w]
+                        sig.append(cu * k + cw if cu <= cw else cw * k + cu)
+                    sig.sort()
+                    signed.append((sig, v))
+                signed.sort()
+                if signed[0][0] != signed[-1][0]:
+                    todo.append((s, signed))
+            split = []
+            for s, signed in todo:
+                p = s
+                prev = signed[0][0]
+                for i, (sig, v) in enumerate(signed, s):
+                    if sig != prev:
+                        end[p] = i
+                        p, prev = i, sig
+                    lab[i] = v
+                    col[v] = p
+                    split.append(v)
+                end[p] = s + len(signed)
 
     best_img: tuple[Triple, ...] | None = None
     lab0: list[int] = []
@@ -118,30 +164,23 @@ def canonical_edges(n: int, edges: Sequence[Triple]) -> CanonResult:
     # automorphisms as position tuples: gens[i][v] is the image of vertex v
     gens: list[tuple[int, ...]] = []
 
-    def dfs(colors: list[int], prefix: tuple[int, ...]) -> int | None:
+    def dfs(lab: list[int], col: list[int], end: list[int], split: Sequence[int],
+            prefix: tuple[int, ...]) -> int | None:
         """Explore the subtree at prefix; an int return asks every node
         deeper than that many individualized vertices to abandon its
         subtree."""
         nonlocal best_img, lab0, inv0, path0
-        colors = refine(colors)
-        cells: dict[int, list[int]] = {}
-        for v, c in enumerate(colors):
-            cells.setdefault(c, []).append(v)
-        target = None
-        for c in sorted(cells):
-            if len(cells[c]) > 1:
-                target = cells[c]
-                break
-        if target is None:
+        refine(lab, col, end, split)
+        s = 0
+        while s < k and end[s] == s + 1:
+            s += 1
+        if s == k:
             # discrete: colors are exactly the labels 0..k-1
             img = tuple(sorted(
-                tuple(sorted((colors[a], colors[b], colors[c]))) for a, b, c in edge_pos
+                tuple(sorted((col[a], col[b], col[c]))) for a, b, c in edge_pos
             ))
             if best_img is None or img < best_img:
-                best_img, lab0, path0 = img, colors, prefix
-                inv0 = [0] * k
-                for v in range(k):
-                    inv0[colors[v]] = v
+                best_img, lab0, inv0, path0 = img, col, lab, prefix
                 return None
             if img != best_img:
                 return None
@@ -152,7 +191,7 @@ def canonical_edges(n: int, edges: Sequence[Triple]) -> CanonResult:
             # fixes their common prefix and carries the rest of this
             # subtree onto the sibling subtree holding lab0, explored
             # earlier: jump back to the common ancestor.
-            g = tuple(inv0[c] for c in colors)
+            g = tuple(inv0[c] for c in col)
             if g not in gens:
                 gens.append(g)
             common = 0
@@ -160,6 +199,8 @@ def canonical_edges(n: int, edges: Sequence[Triple]) -> CanonResult:
                 common += 1
             return common
         depth = len(prefix)
+        e = end[s]
+        target = lab[s:e]
         explored: list[int] = []
         roots: list[int] = []
         ngens = -1
@@ -173,14 +214,35 @@ def canonical_edges(n: int, edges: Sequence[Triple]) -> CanonResult:
                 if any(roots[v] == roots[u] for u in explored):
                     continue
             explored.append(v)
-            branch = [2 * c for c in colors]
-            branch[v] -= 1
-            jump = dfs(branch, prefix + (v,))
+            # individualize v: the cell becomes [v], rest
+            blab, bcol, bend = lab[:], col[:], end[:]
+            rest = [u for u in target if u != v]
+            blab[s] = v
+            blab[s + 1:e] = rest
+            bcol[v] = s
+            for u in rest:
+                bcol[u] = s + 1
+            bend[s] = s + 1
+            bend[s + 1] = e
+            jump = dfs(blab, bcol, bend, [v], prefix + (v,))
             if jump is not None and jump < depth:
                 return jump
         return None
 
-    dfs([0] * k, ())
+    # the root: degree classes in increasing degree, which is the first
+    # round of refinement from a uniform coloring
+    deg = [len(cp) for cp in copairs]
+    lab = sorted(range(k), key=deg.__getitem__)
+    col = [0] * k
+    end = [0] * k
+    s = 0
+    for i, v in enumerate(lab):
+        if deg[v] != deg[lab[s]]:
+            end[s] = i
+            s = i
+        col[v] = s
+    end[s] = k
+    dfs(lab, col, end, range(k), ())
     assert best_img is not None
 
     auts = tuple({cover[v]: cover[g[v]] for v in range(k)} for g in gens)

@@ -61,7 +61,9 @@ class ExtremalCertificate:
 
 
 class _Node:
-    """Mutable-free search node: edges plus cheap derived state."""
+    """Search node: edges plus cheap derived state.  Everything is fixed
+    at construction except canon, which _extend leaves None and _accept
+    fills in."""
 
     __slots__ = ("edges", "cov", "pairs", "degs", "canon")
 
@@ -152,8 +154,9 @@ def _invariant(edges: tuple[Triple, ...]) -> tuple:
     return (tuple(sorted(deg.values())), tuple(dvs))
 
 
-def _accept(node: _Node, child: _Node, e: Triple) -> bool:
-    """Canonical-augmentation test: canonical deletion must recover the parent."""
+def _accept(node: _Node, child: _Node, e: Triple, node_inv: tuple) -> bool:
+    """Canonical-augmentation test: canonical deletion must recover the
+    parent.  node_inv is _invariant(node.edges)."""
     child.canon = canonical_edges(max(child.cov, 1), child.edges)
     last = child.canon.edges[-1]
     perm = child.canon.perm
@@ -166,7 +169,7 @@ def _accept(node: _Node, child: _Node, e: Triple) -> bool:
     if d == e:
         return True
     rest = tuple(f for f in child.edges if f != d)
-    if _invariant(rest) != _invariant(node.edges):
+    if _invariant(rest) != node_inv:
         return False
     return canonical_edges(max(child.cov, 1), rest).edges == node.canon.edges
 
@@ -177,11 +180,12 @@ def _children(node: _Node, max_vertices: int, crown_free: bool) -> list[_Node]:
     minus those failing the canonical-augmentation test, deduplicated."""
     seen: set[tuple[Triple, ...]] = set()
     out: list[_Node] = []
+    inv = _invariant(node.edges)
     for e in _orbit_reps(_candidate_edges(node, max_vertices), node.canon.auts):
         child = _extend(node, e)
         if crown_free and has_crown_containing(child.edges, e):
             continue
-        if not _accept(node, child, e):
+        if not _accept(node, child, e, inv):
             continue
         if child.canon.edges in seen:
             continue
@@ -283,9 +287,11 @@ def exact_ex(
     witnesses = sorted(found)[:WITNESS_CAP]
     for w in witnesses:
         g = from_edges_trusted(n, w)
-        assert len(g.edges) == best
+        if len(g.edges) != best:
+            raise AssertionError(f"witness has {len(g.edges)} edges, not {best}")
         validate_linear(g.edges, n)
-        assert crown_oracle(g) is None, "witness fails the crown oracle"
+        if crown_oracle(g) is not None:
+            raise AssertionError("witness fails the crown oracle")
     return ExtremalCertificate(
         n=n,
         value=best,
@@ -387,5 +393,6 @@ def densify_crown_free(n: int, seed: int, iterations: int = 2000) -> LinearThree
         if len(cur) > len(best):
             best = list(cur)
     H = from_edges_trusted(n, best)
-    assert find_crown(H) is None
+    if find_crown(H) is not None:
+        raise AssertionError("densified graph has a crown")
     return H

@@ -9,6 +9,7 @@ import pytest
 
 from crownfree import validate_linear
 from crownfree.canon import canonical_edges
+from crownfree.lemmas import _matchings4
 from crownfree.search import generate_all, random_linear_graph
 
 from canon_reference import closure, is_automorphism, reference_canonical_edges
@@ -23,6 +24,31 @@ PREFIX_SENSITIVE_EDGES = [
     (3, 4, 5), (3, 6, 7), (3, 9, 10), (4, 6, 8), (5, 7, 9), (5, 8, 11),
     (6, 9, 11), (7, 10, 11),
 ]
+
+
+def ag23_minus_class():
+    """AG(2,3) without its vertical lines: 3-regular on 9 vertices, so
+    the degree classes are a single cell."""
+    return [e for e in ag23().edges if e[2] - e[0] != 2]
+
+
+def relabelled(edges, n, rng):
+    p = list(range(n))
+    rng.shuffle(p)
+    return sorted(tuple(sorted(p[v] for v in e)) for e in edges)
+
+
+def two_colour_prefixes():
+    """The 3-graphs that enumerate_555_link_graphs labels to deduplicate
+    its two-colour prefixes: colour class 0 fixed, class 1 every matching
+    of four pairs, each coloured pair {u, w} joined to its colour vertex."""
+    first = [(0, 1), (2, 3), (4, 5), (6, 7)]
+    out = []
+    for second, n_used in _matchings4(set(first), 8):
+        edges = [(u, w, n_used) for u, w in first]
+        edges += [(u, w, n_used + 1) for u, w in second]
+        out.append((n_used + 2, sorted(edges)))
+    return out
 
 
 def assert_matches_reference(n, edges):
@@ -53,13 +79,36 @@ class TestAgainstReference:
             H = random_linear_graph(n, m, seed=rng.randrange(10**9))
             assert_matches_reference(H.n, H.edges)
 
+    def test_crown_free_classes_on_9_relabelled(self):
+        rng = random.Random(9)
+        count = 0
+        for H in generate_all(9, crown_free_only=True):
+            canon = canonical_edges(H.n, H.edges).edges
+            for _ in range(2):
+                edges = relabelled(H.edges, H.n, rng)
+                assert_matches_reference(H.n, edges)
+                assert canonical_edges(H.n, edges).edges == canon
+            count += 1
+        assert count == 124
+
+    def test_555_two_colour_prefixes(self):
+        prefixes = two_colour_prefixes()
+        assert len(prefixes) == 3763
+        for n, edges in random.Random(555).sample(prefixes, 400):
+            assert 10 <= n <= 18
+            assert_matches_reference(n, edges)
+
     @pytest.mark.parametrize("edges,n", [
         (FANO_EDGES, 7), (CROWN_EDGES, 9), (MATCHING_EDGES, 12),
-        (PREFIX_SENSITIVE_EDGES, 12),
-    ], ids=["fano", "crown", "matching", "prefix_sensitive"])
+        (PREFIX_SENSITIVE_EDGES, 12), (ag23_minus_class(), 9),
+    ], ids=["fano", "crown", "matching", "prefix_sensitive", "ag23_minus_class"])
     def test_fixtures(self, edges, n):
         H = validate_linear(edges, n)
         assert_matches_reference(H.n, H.edges)
+
+    def test_regular_fixture_is_one_degree_class(self):
+        H = validate_linear(ag23_minus_class(), 9)
+        assert len(H.edges) == 9 and set(H.degrees()) == {3}
 
     def test_ag23_group_order(self):
         H = ag23()

@@ -70,6 +70,12 @@ class TestLinks555:
     def test_encoding_is_stable(self):
         assert encode_canonical_G() == encode_canonical_G()
 
+    def test_encoding_is_pinned(self):
+        assert encode_canonical_G() == (
+            (0, 1, 8), (0, 2, 9), (0, 3, 10), (1, 2, 10), (1, 3, 9), (2, 3, 8),
+            (4, 5, 8), (4, 6, 9), (4, 7, 10), (5, 6, 10), (5, 7, 9), (6, 7, 8),
+        )
+
 
 class TestLemma1Corpus:
     def test_small_corpus(self):

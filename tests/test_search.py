@@ -1,4 +1,9 @@
 import itertools
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +18,23 @@ from crownfree import (
 )
 from crownfree.canon import canonical_edges
 from crownfree.search import generate_all
+
+
+# Certificates of exact_ex(9) and exact_ex(10): the canonical witnesses,
+# pinned literally so that a canon change that reorders cells shows here.
+WITNESSES_9 = [
+    ((0, 1, 2), (0, 3, 8), (1, 3, 4), (1, 5, 8), (2, 5, 6), (2, 7, 8), (3, 6, 7), (4, 5, 7), (4, 6, 8)),
+    ((0, 1, 4), (0, 2, 5), (0, 3, 6), (1, 2, 3), (1, 6, 8), (2, 4, 7), (3, 7, 8), (4, 5, 8), (5, 6, 7)),
+    ((0, 1, 7), (0, 2, 8), (1, 3, 8), (2, 4, 5), (2, 6, 7), (3, 4, 6), (3, 5, 7), (4, 7, 8), (5, 6, 8)),
+    ((0, 2, 3), (0, 7, 8), (1, 4, 8), (1, 5, 7), (2, 4, 7), (2, 6, 8), (3, 5, 8), (3, 6, 7), (4, 5, 6)),
+    ((0, 2, 7), (0, 3, 8), (1, 4, 7), (1, 5, 8), (2, 3, 6), (2, 4, 8), (3, 5, 7), (4, 5, 6), (6, 7, 8)),
+]
+WITNESSES_10 = [
+    ((0, 1, 2), (0, 3, 7), (0, 4, 8), (1, 5, 7), (1, 8, 9), (2, 5, 8), (2, 7, 9), (3, 4, 9), (3, 6, 8),
+     (4, 6, 7), (5, 6, 9)),
+    ((0, 1, 6), (0, 2, 7), (1, 2, 8), (1, 7, 9), (2, 6, 9), (3, 4, 6), (3, 5, 7), (3, 8, 9), (4, 5, 9),
+     (4, 7, 8), (5, 6, 8)),
+]
 
 
 def brute_force_classes(maxn, crown_free_only=False):
@@ -93,6 +115,40 @@ class TestExactEx:
                 len(H.edges) for H in generate_all(n, crown_free_only=True)
             )
             assert exact_ex(n).value == truth
+
+    @pytest.mark.parametrize("n,value,nodes,witnesses", [
+        (9, 9, 125, WITNESSES_9), (10, 11, 618, WITNESSES_10),
+    ])
+    def test_pinned_certificate(self, n, value, nodes, witnesses):
+        cert = exact_ex(n)
+        assert cert.exhaustive
+        assert (cert.value, cert.nodes_explored) == (value, nodes)
+        assert cert.witnesses == witnesses
+
+    def test_witness_recheck_runs_under_optimize(self):
+        # An oracle that reports a crown in every graph with more edges
+        # than the gadget must stop exact_ex, even where asserts are off.
+        code = textwrap.dedent("""
+            import sys
+            import crownfree.search as search
+            if not sys.flags.optimize:
+                raise SystemExit("asserts are on")
+            gadget = len(search.lower_bound_construction(7).edges)
+            real = search.crown_oracle
+            search.crown_oracle = lambda H: "crown" if len(H.edges) > gadget else real(H)
+            try:
+                search.exact_ex(7)
+            except AssertionError as exc:
+                print("raised:", exc)
+            else:
+                print("returned")
+        """)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "raised: witness fails the crown oracle"
 
     def test_budget_exceeded(self):
         cert = exact_ex(9, max_nodes=5)

@@ -37,6 +37,24 @@ WITNESSES_10 = [
 ]
 
 
+# Classes yielded by generate_all(n), by edge count, pinned literally so a
+# lost or duplicated class fails without going through the generator's own
+# canonical test.  No crown fits on 8 vertices, so crown_free_only changes
+# nothing below n = 9.
+CLASS_COUNTS = {
+    3: {1: 1},
+    4: {1: 1},
+    5: {1: 1, 2: 1},
+    6: {1: 1, 2: 2, 3: 1, 4: 1},
+    7: {1: 1, 2: 2, 3: 3, 4: 3, 5: 2, 6: 1, 7: 1},
+    8: {1: 1, 2: 2, 3: 4, 4: 6, 5: 7, 6: 6, 7: 4, 8: 1},
+}
+CROWN_FREE_COUNTS = {
+    **CLASS_COUNTS,
+    9: {1: 1, 2: 2, 3: 5, 4: 10, 5: 17, 6: 29, 7: 33, 8: 22, 9: 5},
+}
+
+
 def brute_force_classes(maxn, crown_free_only=False):
     """Independent enumeration: lex-increasing edge DFS + canonical dedupe."""
     classes = set()
@@ -70,6 +88,19 @@ class TestGeneration:
         for H in generate_all(7):
             seen.append(canonical_edges(H.n, H.edges).edges)
         assert len(seen) == len(set(seen))
+
+    @pytest.mark.parametrize("crown_free_only,counts", [
+        (False, CLASS_COUNTS), (True, CROWN_FREE_COUNTS),
+    ])
+    def test_class_counts_pinned(self, crown_free_only, counts):
+        for n, expect in counts.items():
+            by_size: dict[int, int] = {}
+            forms = set()
+            for H in generate_all(n, crown_free_only=crown_free_only):
+                by_size[len(H.edges)] = by_size.get(len(H.edges), 0) + 1
+                forms.add(canonical_edges(H.n, H.edges).edges)
+            assert by_size == expect, n
+            assert len(forms) == sum(expect.values()), n
 
     def test_crown_filter_agrees_with_oracle(self):
         full = {

@@ -1,23 +1,24 @@
 """Isomorph-free exact computation of the crown Turán number for small n.
 
-Generation is canonical augmentation: a child H+e is accepted only when
-deleting the canonical-deletion edge of H+e (the edge mapped to the
-lexicographically last canonical edge) lands back on the parent's
-isomorphism class; candidate additions are filtered down to one per
-Aut(H)-orbit (closing each candidate under the generators that canonical
-labelling returns) and accepted children are deduplicated per parent, so
-each class is visited exactly once.  Crown-free runs cut a candidate
-before its canonical test when crowns.has_crown_containing finds a crown
-through the new edge; the parent is crown-free, so that is exactly when
-the child has a crown.  One routine, _children, expands a node for both
-generate_all and exact_ex.  exact_ex walks the tree in one serial
-depth-first loop (the root has a single child, so there is nothing to
-split across workers); it additionally prunes by an edge-capacity bound
-and keeps an incumbent seeded from the lower-bound gadget.
+Generation is strict canonical augmentation (McKay, *Isomorph-free
+exhaustive generation*, J. Algorithms 26, 1998).  Candidate additions to
+H are cut to one per Aut(H)-orbit (closing each under the generators
+canonical labelling returns), and a child H+e is accepted exactly when e
+lies in the Aut(H+e)-orbit of its deletion edge.  That edge is chosen by
+an invariant first, the least sorted endpoint-degree triple, and only a
+tie there is broken by canonical labelling (the last canonical image),
+so most children need no labelling.  Each class is then reached exactly
+once and children need no dedupe.  Crown-free runs cut a candidate first
+when crowns.has_crown_containing finds a crown through the new edge; the
+parent is crown-free, so that is exactly when the child has a crown.
+One routine, _children, expands a node for both generate_all and
+exact_ex, a serial depth-first loop with an incumbent seeded from the
+lower-bound gadget.
 """
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass, field
@@ -62,36 +63,42 @@ class ExtremalCertificate:
 
 class _Node:
     """Search node: edges plus cheap derived state.  Everything is fixed
-    at construction except canon, which _extend leaves None and _accept
-    fills in."""
+    at construction except canon, which is filled lazily: by _accept when
+    it has to break a tie, otherwise by canonical() when the node is
+    expanded or kept as a witness."""
 
     __slots__ = ("edges", "cov", "pairs", "degs", "canon")
 
     def __init__(self, edges: tuple[Triple, ...], cov: int, pairs: frozenset,
-                 degs: tuple[int, ...], canon: CanonResult):
+                 degs: tuple[int, ...]):
         self.edges = edges
         self.cov = cov
         self.pairs = pairs
         self.degs = degs
-        self.canon = canon
+        self.canon: CanonResult | None = None
+
+    def canonical(self) -> CanonResult:
+        if self.canon is None:
+            self.canon = canonical_edges(max(self.cov, 1), self.edges)
+        return self.canon
 
     def graph(self) -> LinearThreeGraph:
         return from_edges_trusted(self.cov if self.cov else 1, self.edges)
 
 
 def _root() -> _Node:
-    return _Node((), 0, frozenset(), (), canonical_edges(1, ()))
+    return _Node((), 0, frozenset(), ())
 
 
-def _extend(node: _Node, e: Triple) -> _Node | None:
-    """Child node for edge e, without canonical form (filled by caller)."""
+def _extend(node: _Node, e: Triple) -> _Node:
+    """Child node for edge e."""
     cov = max(node.cov, e[2] + 1)
     edges = tuple(sorted(node.edges + (e,)))
     degs = list(node.degs) + [0] * (cov - node.cov)
     for v in e:
         degs[v] += 1
     pairs = node.pairs | {(e[0], e[1]), (e[0], e[2]), (e[1], e[2])}
-    return _Node(edges, cov, pairs, tuple(degs), None)
+    return _Node(edges, cov, pairs, tuple(degs))
 
 
 def _candidate_edges(node: _Node, max_vertices: int) -> list[Triple]:
@@ -115,82 +122,73 @@ def _candidate_edges(node: _Node, max_vertices: int) -> list[Triple]:
     return out
 
 
-def _orbit_reps(candidates: list[Triple], gens) -> list[Triple]:
-    """One representative per Aut(H)-orbit, the first in candidate order.
+def _orbit(t: Triple, gens) -> Iterator[Triple]:
+    """The orbit of t under the group generated by gens (each fixing the
+    labels it does not map), yielded lazily by closing t under them."""
+    seen = {t}
+    frontier = [t]
+    while frontier:
+        u = frontier.pop()
+        yield u
+        for alpha in gens:
+            img = tuple(sorted(alpha.get(v, v) for v in u))
+            if img not in seen:
+                seen.add(img)
+                frontier.append(img)
 
-    gens generate Aut(H) (identity on not-yet-used labels); each orbit is
-    the closure of its representative under them.
-    """
+
+def _orbit_reps(candidates: list[Triple], gens) -> list[Triple]:
+    """One representative per Aut(H)-orbit, the first in candidate order."""
     if not gens:
         return candidates
     seen: set[Triple] = set()
     reps: list[Triple] = []
     for e in candidates:
-        if e in seen:
-            continue
-        reps.append(e)
-        seen.add(e)
-        frontier = [e]
-        while frontier:
-            t = frontier.pop()
-            for alpha in gens:
-                img = tuple(sorted(alpha.get(v, v) for v in t))
-                if img not in seen:
-                    seen.add(img)
-                    frontier.append(img)
+        if e not in seen:
+            reps.append(e)
+            seen.update(_orbit(e, gens))
     return reps
 
 
-def _invariant(edges: tuple[Triple, ...]) -> tuple:
-    """Cheap isomorphism invariant used to fast-reject parent mismatches."""
-    deg: dict[int, int] = {}
-    for a, b, c in edges:
-        deg[a] = deg.get(a, 0) + 1
-        deg[b] = deg.get(b, 0) + 1
-        deg[c] = deg.get(c, 0) + 1
-    dvs = sorted(
-        tuple(sorted((deg[a], deg[b], deg[c]), reverse=True)) for a, b, c in edges
-    )
-    return (tuple(sorted(deg.values())), tuple(dvs))
+def _accept(child: _Node, e: Triple) -> bool:
+    """Strict canonical-augmentation test: is e in the Aut(child)-orbit of
+    the child's deletion edge?
 
-
-def _accept(node: _Node, child: _Node, e: Triple, node_inv: tuple) -> bool:
-    """Canonical-augmentation test: canonical deletion must recover the
-    parent.  node_inv is _invariant(node.edges)."""
-    child.canon = canonical_edges(max(child.cov, 1), child.edges)
-    last = child.canon.edges[-1]
-    perm = child.canon.perm
-    d = None
+    The deletion edge is taken from the edges with the least sorted
+    endpoint-degree triple; if that class has more than one edge, the tie
+    goes to the edge with the last canonical image.  The class and the
+    orbit are isomorphism invariants, so the test does not depend on the
+    labelling.  Only a tie needs canonical labelling.
+    """
+    degs = child.degs
+    key = sorted((degs[e[0]], degs[e[1]], degs[e[2]]))
+    ties = []
     for f in child.edges:
-        if tuple(sorted((perm[f[0]], perm[f[1]], perm[f[2]]))) == last:
-            d = f
-            break
-    assert d is not None
-    if d == e:
+        k = sorted((degs[f[0]], degs[f[1]], degs[f[2]]))
+        if k < key:
+            return False
+        if k == key:
+            ties.append(f)
+    if len(ties) == 1:
         return True
-    rest = tuple(f for f in child.edges if f != d)
-    if _invariant(rest) != node_inv:
-        return False
-    return canonical_edges(max(child.cov, 1), rest).edges == node.canon.edges
+    canon = child.canonical()
+    perm = canon.perm
+    d = max(ties, key=lambda f: sorted((perm[f[0]], perm[f[1]], perm[f[2]])))
+    return e in _orbit(d, canon.auts)
 
 
 def _children(node: _Node, max_vertices: int, crown_free: bool) -> list[_Node]:
     """Accepted children of node, one per isomorphism class: candidates,
     one per Aut(H)-orbit, minus those creating a crown (if crown_free),
-    minus those failing the canonical-augmentation test, deduplicated."""
-    seen: set[tuple[Triple, ...]] = set()
+    minus those failing the strict canonical-augmentation test."""
     out: list[_Node] = []
-    inv = _invariant(node.edges)
-    for e in _orbit_reps(_candidate_edges(node, max_vertices), node.canon.auts):
+    candidates = _candidate_edges(node, max_vertices)
+    for e in _orbit_reps(candidates, node.canonical().auts):
         child = _extend(node, e)
         if crown_free and has_crown_containing(child.edges, e):
             continue
-        if not _accept(node, child, e, inv):
-            continue
-        if child.canon.edges in seen:
-            continue
-        seen.add(child.canon.edges)
-        out.append(child)
+        if _accept(child, e):
+            out.append(child)
     return out
 
 
@@ -213,19 +211,6 @@ def generate_all(max_vertices: int, crown_free_only: bool = False) -> Iterator[L
 
 # -- exact Turán number ----------------------------------------------------------
 
-def _capacity_bound(node: _Node, n: int) -> int:
-    """Upper bound on the number of edges any extension within n vertices
-    can reach: free pairs per vertex, two per edge per endpoint."""
-    total_pairs = n * (n - 1) // 2 - 3 * len(node.edges)
-    cap_pairs = len(node.edges) + total_pairs // 3
-    free_slots = 0
-    for v in range(n):
-        d = node.degs[v] if v < node.cov else 0
-        free_slots += ((n - 1) - 2 * d) // 2
-    cap_vertex = len(node.edges) + free_slots // 3
-    return min(cap_pairs, cap_vertex)
-
-
 WITNESS_CAP = 10  # witnesses kept in a certificate, the least canonical first
 
 
@@ -238,7 +223,10 @@ def exact_ex(
 ) -> ExtremalCertificate:
     """Exact crown Turán number on n vertices by isomorph-free search.
 
-    The search is one serial depth-first loop.  threads selects no code
+    The search is one serial depth-first loop.  Without unsafe_5n3_prune
+    it expands every node, so nodes_explored of an exhaustive run is the
+    number of crown-free classes on at most n vertices plus one, the
+    empty root.  threads selects no code
     path: it is only recorded in the certificate's params.  The incumbent
     is seeded with the lower-bound gadget.  The theorem-level 5n/3 cap is
     never used for pruning unless unsafe_5n3_prune is set (it would be
@@ -246,13 +234,18 @@ def exact_ex(
     incumbent is returned with exhaustive=False.  Every witness returned
     (at most WITNESS_CAP) is rechecked against crown_oracle.
 
-    Both budgets are checked on every node visited.  max_seconds can
-    therefore be overrun by the expansion of one node (its candidates'
-    crown checks and canonical tests) plus the lower-bound set-up before
-    the search and the witness recheck after it.
+    A NaN or negative budget is a ValueError.  Both budgets are checked
+    before each node is visited.  max_seconds can therefore be overrun by
+    the expansion of one node (its candidates' crown checks and canonical
+    tests) plus the lower-bound set-up before the search and the witness
+    recheck after it.
     """
     if n < 3:
         raise ValueError("need n >= 3")
+    if max_seconds is not None and (math.isnan(max_seconds) or max_seconds < 0):
+        raise ValueError(f"max_seconds must be a number >= 0, not {max_seconds}")
+    if max_nodes is not None and max_nodes < 0:
+        raise ValueError(f"max_nodes must be >= 0, not {max_nodes}")
     t0 = time.monotonic()
     seed_graph = lower_bound_construction(n)
     best = len(seed_graph.edges)
@@ -266,22 +259,19 @@ def exact_ex(
     stack = [_root()]
     exhaustive = True
     while stack:
-        node = stack.pop()
-        nodes += 1
-        if (max_nodes is not None and nodes > max_nodes) or (
+        if (max_nodes is not None and nodes >= max_nodes) or (
             deadline is not None and time.monotonic() > deadline
         ):
             exhaustive = False
             break
+        node = stack.pop()
+        nodes += 1
         m = len(node.edges)
         if m > best:
             best, found = m, set()
         if m == best and m > 0:
-            found.add(node.canon.edges)
-        bound = _capacity_bound(node, n)
-        if hard_cap is not None:
-            bound = min(bound, hard_cap)
-        if bound >= best:
+            found.add(node.canonical().edges)
+        if hard_cap is None or hard_cap >= best:
             stack.extend(_children(node, n, crown_free=True))
 
     witnesses = sorted(found)[:WITNESS_CAP]

@@ -143,6 +143,13 @@ class TestExact:
         assert time.monotonic() - t0 < 1.5
         assert "INCOMPLETE" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--max-seconds", "nan"), ("--max-seconds", "-1"), ("--max-nodes", "-1"),
+    ])
+    def test_bad_budget_usage_error(self, capsys, flag, value):
+        assert run(["exact", "--n", "9", flag, value]) == 1
+        assert flag[2:].replace("-", "_") in capsys.readouterr().err
+
 
 class TestConstruct:
     def test_n11(self, capsys):

@@ -1,5 +1,6 @@
 import itertools
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -16,8 +17,9 @@ from crownfree import (
     random_linear_graph,
     validate_linear,
 )
-from crownfree.canon import canonical_edges
-from crownfree.search import generate_all
+from crownfree.canon import canonical_edges, canonical_form
+from crownfree.lemmas import induced_graph_of_G
+from crownfree.search import _accept, _extend, _root, generate_all
 
 
 # Certificates of exact_ex(9) and exact_ex(10): the canonical witnesses,
@@ -115,6 +117,64 @@ class TestGeneration:
         assert full == filtered
 
 
+def _node_of(edges):
+    node = _root()
+    for e in edges:
+        node = _extend(node, e)
+    return node
+
+
+def _orbit(e, gens):
+    seen = {e}
+    frontier = [e]
+    while frontier:
+        t = frontier.pop()
+        for alpha in gens:
+            img = tuple(sorted(alpha[v] for v in t))
+            if img not in seen:
+                seen.add(img)
+                frontier.append(img)
+    return seen
+
+
+class TestDeletionEdge:
+    def test_accepted_edges_are_the_deletion_orbit_in_any_labelling(self):
+        # For each class and two relabellings of it, _accept must take
+        # exactly the Aut-orbit of the documented deletion edge: least
+        # sorted endpoint-degree triple, ties to the last canonical image.
+        # n = 9 is the least n where a least class can hold two orbits, so
+        # only from there can a labelling-dependent tie-break show.
+        rng = random.Random(9)
+        split = 0
+        for H in generate_all(9):
+            versions = [H.edges]
+            for _ in range(2):
+                p = list(range(9))
+                rng.shuffle(p)
+                versions.append(tuple(sorted(
+                    tuple(sorted(p[v] for v in e)) for e in H.edges
+                )))
+            images = []
+            for edges in versions:
+                child = _node_of(edges)
+                accepted = {e for e in edges if _accept(child, e)}
+                canon = canonical_edges(9, edges)
+                deg = {}
+                for e in edges:
+                    for v in e:
+                        deg[v] = deg.get(v, 0) + 1
+                least = min(sorted(deg[v] for v in e) for e in edges)
+                ties = [e for e in edges if sorted(deg[v] for v in e) == least]
+                d = max(ties, key=lambda e: sorted(canon.perm[v] for v in e))
+                assert accepted == _orbit(d, canon.auts), edges
+                split += len(accepted) < len(ties)
+                images.append(sorted(
+                    tuple(sorted(canon.perm[v] for v in e)) for e in accepted
+                ))
+            assert images[0] == images[1] == images[2], H.edges
+        assert split == 3 * 13
+
+
 class TestExactEx:
     def test_n7_is_fano(self):
         cert = exact_ex(7)
@@ -184,7 +244,24 @@ class TestExactEx:
     def test_budget_exceeded(self):
         cert = exact_ex(9, max_nodes=5)
         assert not cert.exhaustive
+        assert cert.nodes_explored == 5
         assert cert.value >= 6  # incumbent seeded from the construction
+        cert = exact_ex(9, max_nodes=0)
+        assert (cert.nodes_explored, cert.exhaustive) == (0, False)
+
+    @pytest.mark.parametrize("budget", [
+        {"max_seconds": float("nan")}, {"max_seconds": -1.0}, {"max_nodes": -1},
+    ])
+    def test_bad_budget_rejected(self, budget):
+        with pytest.raises(ValueError):
+            exact_ex(9, **budget)
+
+    def test_n11_witness_is_the_555_link_graph(self):
+        # The 13-edge graph built on the unique rainbow-free (5,5,5) link
+        # graph is extremal for n = 11.
+        cert = exact_ex(11)
+        assert (cert.value, cert.exhaustive, len(cert.witnesses)) == (13, True, 2)
+        assert canonical_form(induced_graph_of_G()).edges in cert.witnesses
 
     def test_thread_determinism(self):
         c1 = exact_ex(9, threads=1)

@@ -63,9 +63,9 @@ class ExtremalCertificate:
 
 class _Node:
     """Search node: edges plus cheap derived state.  Everything is fixed
-    at construction except canon, which is filled lazily: by _accept when
-    it has to break a tie, otherwise by canonical() when the node is
-    expanded or kept as a witness."""
+    at construction except canon, which canonical() fills in lazily: when
+    _accept has to break a tie, or when the node is expanded or kept as a
+    witness."""
 
     __slots__ = ("edges", "cov", "pairs", "degs", "canon")
 
@@ -182,8 +182,7 @@ def _children(node: _Node, max_vertices: int, crown_free: bool) -> list[_Node]:
     one per Aut(H)-orbit, minus those creating a crown (if crown_free),
     minus those failing the strict canonical-augmentation test."""
     out: list[_Node] = []
-    candidates = _candidate_edges(node, max_vertices)
-    for e in _orbit_reps(candidates, node.canonical().auts):
+    for e in _orbit_reps(_candidate_edges(node, max_vertices), node.canonical().auts):
         child = _extend(node, e)
         if crown_free and has_crown_containing(child.edges, e):
             continue

@@ -227,7 +227,7 @@ def run(argv: list[str]) -> int:
     except (LinearityError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except OSError as exc:  # missing file, a directory, no permission, ...
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -141,8 +141,9 @@ def has_crown_containing(edges: Sequence[Triple], e: Triple) -> bool:
     Local to e: one pass over `edges` sorts the other edges, as vertex
     bitmasks, into the incidence lists of e's three vertices and the list
     of edges disjoint from e; nothing else is built.  Adding e to a
-    crown-free graph creates a crown iff this holds, which is how the
-    search tests each augmentation.
+    crown-free graph creates a crown iff this holds.  It shares no code
+    with crown_free_additions, the batch form the search uses, and is
+    the reference the tests hold that to.
     """
     if len(edges) < 4:
         return False
@@ -189,6 +190,66 @@ def has_crown_containing(edges: Sequence[Triple], e: Triple) -> bool:
                     for mg in gs:
                         if not mg & mh:
                             return True
+    return False
+
+
+def crown_free_additions(edges: Sequence[Triple], candidates: Sequence[Triple]) -> list[Triple]:
+    """The candidates t for which edges + [t] has no crown through t, in
+    candidate order.
+
+    Each candidate must share at most one vertex with every edge, so that
+    edges + [t] is linear.  The result is the candidates t with
+    not has_crown_containing(edges + [t], t), but the bitmask tables are
+    built once for all the candidates:
+    - the masks of the edges at each vertex: t is the base of a crown
+      when three of them, one at each vertex of t, are pairwise disjoint;
+    - for each base f = {x, y, z} in edges and each x in f, the unions
+      g | h of the disjoint pairs of edges g at y and h at z, both other
+      than f: t, which contains x, is the jewel at x of a crown when one
+      of these unions misses t.
+    Adding t to a crown-free graph creates a crown iff one goes through t,
+    which is how the search filters a node's candidates.
+    """
+    if len(edges) < 3:
+        return list(candidates)
+    size = 1 + max(max(map(max, edges)), max(map(max, candidates), default=0))
+    at: list[list[int]] = [[] for _ in range(size)]
+    for f in edges:
+        mf = (1 << f[0]) | (1 << f[1]) | (1 << f[2])
+        for v in f:
+            at[v].append(mf)
+    # g = f or h = f would meet the other in a vertex of f, so the
+    # disjointness test alone keeps f out of the unions
+    jewels: list[list[int]] = [[] for _ in range(size)]
+    for x, y, z in edges:
+        at_x, at_y, at_z = at[x], at[y], at[z]
+        jewels[x] += [mg | mh for mg in at_y for mh in at_z if not mg & mh]
+        jewels[y] += [mg | mh for mg in at_x for mh in at_z if not mg & mh]
+        jewels[z] += [mg | mh for mg in at_x for mh in at_y if not mg & mh]
+    out: list[Triple] = []
+    for t in candidates:
+        a, b, c = t
+        tm = (1 << a) | (1 << b) | (1 << c)
+        for u in jewels[a] + jewels[b] + jewels[c]:
+            if not u & tm:
+                break  # t is a jewel
+        else:
+            if not _disjoint_triple(at[a], at[b], at[c]):  # t is no base
+                out.append(t)
+    return out
+
+
+def _disjoint_triple(at_a: list[int], at_b: list[int], at_c: list[int]) -> bool:
+    """True iff some masks from the three lists, one from each, are
+    pairwise disjoint."""
+    for ma in at_a:
+        for mb in at_b:
+            if ma & mb:
+                continue
+            mab = ma | mb
+            for mc in at_c:
+                if not mc & mab:
+                    return True
     return False
 
 

@@ -1,16 +1,21 @@
 """Isomorph-free exact computation of the crown Turán number for small n.
 
 Generation is strict canonical augmentation (McKay, *Isomorph-free
-exhaustive generation*, J. Algorithms 26, 1998).  Candidate additions to
-H are cut to one per Aut(H)-orbit (closing each under the generators
-canonical labelling returns), and a child H+e is accepted exactly when e
-lies in the Aut(H+e)-orbit of its deletion edge.  That edge is chosen by
-an invariant first, the least sorted endpoint-degree triple, and only a
-tie there is broken by canonical labelling (the last canonical image),
-so most children need no labelling.  Each class is then reached exactly
-once and children need no dedupe.  Crown-free runs cut a candidate first
-when crowns.has_crown_containing finds a crown through the new edge; the
-parent is crown-free, so that is exactly when the child has a crown.
+exhaustive generation*, J. Algorithms 26, 1998).  Expanding a node H
+runs four steps.  First the candidate additions are listed.  Crown-free
+runs then drop, in one crowns.crown_free_additions call per parent, the
+candidates that would make a crown through the new edge; the parent is
+crown-free, so that is exactly when the child has a crown.  The
+survivors are cut to one per Aut(H)-orbit, the first in candidate order,
+by union-find over their indices under the generators canonical
+labelling returns; the crown test is Aut(H)-invariant, so the survivors
+are a union of orbits.  Only then is a child node H+e built, and it is
+accepted exactly when e lies in the Aut(H+e)-orbit of its deletion edge.
+That edge is chosen by an invariant first, the least sorted
+endpoint-degree triple, and only a tie there is broken by canonical
+labelling (the last canonical image), so most children need no
+labelling.  Each class is then reached exactly once and children need
+no dedupe.
 One routine, _children, expands a node for both generate_all and
 exact_ex, a serial depth-first loop with an incumbent seeded from the
 lower-bound gadget.
@@ -26,7 +31,7 @@ from itertools import combinations
 from typing import Iterator
 
 from .canon import CanonResult, canonical_edges
-from .crowns import crown_oracle, find_crown, has_crown_containing
+from .crowns import crown_free_additions, crown_oracle, find_crown
 from .graphs import LinearThreeGraph, Triple, from_edges_trusted, validate_linear
 
 
@@ -138,16 +143,33 @@ def _orbit(t: Triple, gens) -> Iterator[Triple]:
 
 
 def _orbit_reps(candidates: list[Triple], gens) -> list[Triple]:
-    """One representative per Aut(H)-orbit, the first in candidate order."""
+    """One representative per orbit of gens on candidates, the first in
+    candidate order.  candidates must be closed under gens.  Orbits are
+    found by union-find over candidate indices, one union per candidate
+    and generator, with the root kept at the least index."""
     if not gens:
         return candidates
-    seen: set[Triple] = set()
-    reps: list[Triple] = []
-    for e in candidates:
-        if e not in seen:
-            reps.append(e)
-            seen.update(_orbit(e, gens))
-    return reps
+    index = {(1 << a) | (1 << b) | (1 << c): i for i, (a, b, c) in enumerate(candidates)}
+    parent = list(range(len(candidates)))
+
+    def root(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    top = max((t[2] for t in candidates), default=0)
+    for alpha in gens:
+        img = [1 << v for v in range(1 + max(top, max(alpha, default=0)))]
+        for v, w in alpha.items():
+            img[v] = 1 << w
+        for i, (a, b, c) in enumerate(candidates):
+            ri, rj = root(i), root(index[img[a] | img[b] | img[c]])
+            if ri < rj:
+                parent[rj] = ri
+            elif rj < ri:
+                parent[ri] = rj
+    return [t for i, t in enumerate(candidates) if parent[i] == i]
 
 
 def _accept(child: _Node, e: Triple) -> bool:
@@ -179,13 +201,17 @@ def _accept(child: _Node, e: Triple) -> bool:
 
 def _children(node: _Node, max_vertices: int, crown_free: bool) -> list[_Node]:
     """Accepted children of node, one per isomorphism class: candidates,
-    one per Aut(H)-orbit, minus those creating a crown (if crown_free),
-    minus those failing the strict canonical-augmentation test."""
+    minus those creating a crown (if crown_free), cut to one per
+    Aut(H)-orbit, minus those failing the strict canonical-augmentation
+    test.  The crown test is Aut(H)-invariant, so the survivors are a
+    union of orbits and the representatives do not depend on the order of
+    the two cuts; a child node is built only for a representative."""
+    candidates = _candidate_edges(node, max_vertices)
+    if crown_free:
+        candidates = crown_free_additions(node.edges, candidates)
     out: list[_Node] = []
-    for e in _orbit_reps(_candidate_edges(node, max_vertices), node.canonical().auts):
+    for e in _orbit_reps(candidates, node.canonical().auts):
         child = _extend(node, e)
-        if crown_free and has_crown_containing(child.edges, e):
-            continue
         if _accept(child, e):
             out.append(child)
     return out
@@ -328,8 +354,10 @@ def random_linear_graph(n: int, m: int, seed: int) -> LinearThreeGraph:
     """Seeded random linear graph: rejection-sample triples avoiding pair reuse.
 
     Returns fewer than m edges if RETRY_BUDGET rejections come before
-    saturation.
+    saturation.  A negative n or m is a ValueError.
     """
+    if n < 0 or m < 0:
+        raise ValueError(f"need n >= 0 and m >= 0, not n = {n}, m = {m}")
     if m > n * (n - 1) // 6:
         raise ValueError(f"m = {m} exceeds the linearity cap n(n-1)/6 = {n * (n - 1) // 6}")
     rng = random.Random(seed)
@@ -361,13 +389,12 @@ def densify_crown_free(n: int, seed: int, iterations: int = 2000) -> LinearThree
 
     def legal_additions(edges: list[Triple]) -> list[Triple]:
         pairs = {p for e in edges for p in combinations(e, 2)}
-        out = []
-        for t in combinations(range(n), 3):
-            if (t[0], t[1]) in pairs or (t[0], t[2]) in pairs or (t[1], t[2]) in pairs:
-                continue
-            if not has_crown_containing(edges + [t], t):
-                out.append(t)
-        return out
+        free = [
+            t for t in combinations(range(n), 3)
+            if (t[0], t[1]) not in pairs and (t[0], t[2]) not in pairs
+            and (t[1], t[2]) not in pairs
+        ]
+        return crown_free_additions(edges, free)
 
     for _ in range(iterations):
         adds = legal_additions(cur)

@@ -41,6 +41,10 @@ class TestCheck:
     def test_missing_file(self, tmp_path):
         assert run(["check", str(tmp_path / "absent.l3g")]) == 1
 
+    def test_directory_usage_error(self, tmp_path, capsys):
+        assert run(["check", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_malformed_graph(self, tmp_path):
         p = tmp_path / "bad.l3g"
         p.write_text("4 2\n0 1 2\n0 1 3\n")
@@ -120,6 +124,12 @@ class TestRandomRoundTrip:
 
     def test_bad_m(self):
         assert run(["random", "--n", "4", "--m", "99", "--seed", "0"]) == 1
+
+    @pytest.mark.parametrize("n,m", [("-5", "0"), ("3", "-1")])
+    def test_negative_n_or_m_usage_error(self, capsys, n, m):
+        assert run(["random", "--n", n, "--m", m, "--seed", "1"]) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("error: ")
 
 
 class TestExact:

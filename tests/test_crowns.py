@@ -1,8 +1,10 @@
 import random
+from itertools import combinations
 
 import pytest
 
 from crownfree import (
+    crown_free_additions,
     crown_oracle,
     dominates,
     find_crown,
@@ -15,7 +17,7 @@ from crownfree import (
 )
 from crownfree import search
 from crownfree.crowns import ColoredLinkGraph
-from crownfree.search import generate_all, random_linear_graph
+from crownfree.search import _candidate_edges, _extend, _root, generate_all, random_linear_graph
 
 from conftest import CROWN_EDGES, ag23
 
@@ -166,8 +168,6 @@ class TestOracle:
             H = random_linear_graph(rng.randint(9, 12), 12, seed=rng.randrange(2**30))
             if len(H.edges) < 4:
                 continue
-            from itertools import combinations
-
             for e in range(len(H.edges)):
                 got = find_crown_with_base(H, e) is not None
                 brute = False
@@ -204,23 +204,24 @@ class TestHasCrownContaining:
         assert has_crown_containing(edges, (0, 1, 2))
 
     def test_every_search_child_to_n9(self, monkeypatch):
-        children = []
-        real = search.has_crown_containing
+        # every crown decision the search makes, one per candidate
+        decisions = []
+        real = search.crown_free_additions
 
-        def record(edges, e):
-            got = real(edges, e)
-            children.append((edges, e, got))
-            return got
+        def record(edges, candidates):
+            kept = real(edges, candidates)
+            decisions.extend((edges, t, t not in kept) for t in candidates)
+            return kept
 
-        monkeypatch.setattr(search, "has_crown_containing", record)
+        monkeypatch.setattr(search, "crown_free_additions", record)
         classes = sum(1 for _ in generate_all(9, crown_free_only=True))
         assert classes == 124
-        assert len(children) > 500
+        assert len(decisions) > 500
         hits = 0
-        for edges, e, got in children:
-            assert got == oracle_has_crown(edges, 9), (edges, e)
+        for edges, t, got in decisions:
+            assert got == oracle_has_crown(list(edges) + [t], 9), (edges, t)
             hits += got
-        assert 0 < hits < len(children)
+        assert 0 < hits < len(decisions)
 
     def test_random_crown_free_growth(self):
         rng = random.Random(2021)
@@ -242,3 +243,65 @@ class TestHasCrownContaining:
                     misses += 1
                     edges, pairs = child, pairs | ps
         assert hits > 500 and misses > 500
+
+
+def _free_triples(edges, n):
+    pairs = {p for e in edges for p in combinations(e, 2)}
+    return [t for t in combinations(range(n), 3) if not pairs & set(combinations(t, 2))]
+
+
+def _reference_additions(edges, candidates):
+    return [t for t in candidates if not has_crown_containing(list(edges) + [t], t)]
+
+
+class TestCrownFreeAdditions:
+    """crown_free_additions against has_crown_containing, one candidate at
+    a time, on crown-free parents."""
+
+    def test_crown_jewels_and_base(self):
+        # each edge of the crown completes it from the other three
+        for t in CROWN_EDGES:
+            rest = [e for e in CROWN_EDGES if e != t]
+            assert crown_free_additions(rest, [t]) == []
+        assert crown_free_additions(CROWN_EDGES[1:], [(9, 10, 11)]) == [(9, 10, 11)]
+
+    def test_fewer_than_three_edges(self):
+        cands = [(0, 1, 2), (3, 4, 5)]
+        assert crown_free_additions([(0, 3, 6), (1, 4, 7)], cands) == cands
+
+    def test_every_search_node_to_n10(self):
+        hits = misses = 0
+        for H in generate_all(10, crown_free_only=True):
+            node = _root()
+            for e in H.edges:
+                node = _extend(node, e)
+            cands = _candidate_edges(node, 10)
+            got = crown_free_additions(H.edges, cands)
+            assert got == _reference_additions(H.edges, cands), H.edges
+            hits += len(cands) - len(got)
+            misses += len(got)
+        assert hits > 2000 and misses > 5000
+
+    def test_random_crown_free_growth(self):
+        # the 200 growths of TestHasCrownContaining: every tried edge, and
+        # every free triple of the grown graph
+        rng = random.Random(2021)
+        hits = misses = 0
+        for _ in range(200):
+            n = rng.randint(9, 13)
+            edges, pairs = [], set()
+            for _ in range(60):
+                t = tuple(sorted(rng.sample(range(n), 3)))
+                ps = {(t[0], t[1]), (t[0], t[2]), (t[1], t[2])}
+                if ps & pairs:
+                    continue
+                got = crown_free_additions(edges, [t])
+                assert got == _reference_additions(edges, [t]), (edges, t)
+                if got:
+                    edges, pairs = edges + [t], pairs | ps
+            cands = _free_triples(edges, n)
+            got = crown_free_additions(edges, cands)
+            assert got == _reference_additions(edges, cands), edges
+            hits += len(cands) - len(got)
+            misses += len(got)
+        assert hits > 5000 and misses > 500

@@ -19,7 +19,8 @@ from crownfree import (
 )
 from crownfree.canon import canonical_edges, canonical_form
 from crownfree.lemmas import induced_graph_of_G
-from crownfree.search import _accept, _extend, _root, generate_all
+from crownfree.crowns import crown_free_additions
+from crownfree.search import _accept, _candidate_edges, _extend, _orbit_reps, _root, generate_all
 
 
 # Certificates of exact_ex(9) and exact_ex(10): the canonical witnesses,
@@ -135,6 +136,43 @@ def _orbit(e, gens):
                 seen.add(img)
                 frontier.append(img)
     return seen
+
+
+def _closure_reps(candidates, gens):
+    """First-in-order orbit representatives, by closing each candidate
+    under the generators."""
+    seen, reps = set(), []
+    for t in candidates:
+        if t in seen:
+            continue
+        reps.append(t)
+        frontier = [t]
+        seen.add(t)
+        while frontier:
+            u = frontier.pop()
+            for alpha in gens:
+                img = tuple(sorted(alpha.get(v, v) for v in u))
+                if img not in seen:
+                    seen.add(img)
+                    frontier.append(img)
+    return reps
+
+
+class TestOrbitReps:
+    def test_union_find_equals_closure_to_n9(self):
+        # all candidates, and the crown-free survivors: the crown test is
+        # Aut(H)-invariant, so filtering first must keep whole orbits
+        split = 0
+        for H in generate_all(9):
+            node = _node_of(H.edges)
+            gens = node.canonical().auts
+            cands = _candidate_edges(node, 9)
+            reps = _orbit_reps(cands, gens)
+            assert reps == _closure_reps(cands, gens), H.edges
+            split += len(reps) < len(cands)
+            kept = crown_free_additions(H.edges, cands)
+            assert _orbit_reps(kept, gens) == [t for t in reps if t in kept], H.edges
+        assert split > 100
 
 
 class TestDeletionEdge:
@@ -321,6 +359,11 @@ class TestRandomLinearGraph:
     def test_m_over_cap_rejected(self):
         with pytest.raises(ValueError):
             random_linear_graph(7, 8, seed=0)
+
+    @pytest.mark.parametrize("n,m", [(-5, 0), (-1, 0), (3, -1), (0, -1)])
+    def test_negative_n_or_m_rejected(self, n, m):
+        with pytest.raises(ValueError, match=">= 0"):
+            random_linear_graph(n, m, seed=1)
 
 
 class TestDensify:

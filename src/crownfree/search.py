@@ -160,9 +160,7 @@ def _orbit_reps(candidates: list[Triple], gens) -> list[Triple]:
 
     top = max((t[2] for t in candidates), default=0)
     for alpha in gens:
-        img = [1 << v for v in range(1 + max(top, max(alpha, default=0)))]
-        for v, w in alpha.items():
-            img[v] = 1 << w
+        img = [1 << alpha.get(v, v) for v in range(1 + max(top, max(alpha, default=0)))]
         for i, (a, b, c) in enumerate(candidates):
             ri, rj = root(i), root(index[img[a] | img[b] | img[c]])
             if ri < rj:

@@ -131,7 +131,7 @@ def _orbit(e, gens):
     while frontier:
         t = frontier.pop()
         for alpha in gens:
-            img = tuple(sorted(alpha[v] for v in t))
+            img = tuple(sorted(alpha.get(v, v) for v in t))
             if img not in seen:
                 seen.add(img)
                 frontier.append(img)
@@ -143,18 +143,9 @@ def _closure_reps(candidates, gens):
     under the generators."""
     seen, reps = set(), []
     for t in candidates:
-        if t in seen:
-            continue
-        reps.append(t)
-        frontier = [t]
-        seen.add(t)
-        while frontier:
-            u = frontier.pop()
-            for alpha in gens:
-                img = tuple(sorted(alpha.get(v, v) for v in u))
-                if img not in seen:
-                    seen.add(img)
-                    frontier.append(img)
+        if t not in seen:
+            reps.append(t)
+            seen |= _orbit(t, gens)
     return reps
 
 

@@ -15,7 +15,7 @@ import sys
 
 from . import discharging, lemmas
 from .crowns import find_crown, link_graph
-from .graphs import LinearityError, LinearThreeGraph, parse_json_graph, parse_l3g
+from .graphs import LinearThreeGraph, parse_json_graph, parse_l3g
 from .search import exact_ex, lower_bound_construction, random_linear_graph
 
 EXIT_OK = 0
@@ -63,9 +63,8 @@ def cmd_exact(args) -> int:
         args.n,
         max_seconds=args.max_seconds,
         max_nodes=args.max_nodes,
-        unsafe_5n3_prune=args.unsafe_5n3_prune,
     )
-    obj = {"schema": "crownfree/certificate-v1", **cert.to_json_obj()}
+    obj = {"schema": "crownfree/certificate-v2", **cert.to_json_obj()}
     text = (
         f"ex({cert.n}, crown) = {cert.value} "
         f"({'exhaustive' if cert.exhaustive else 'INCOMPLETE'}; "
@@ -179,8 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--n", type=int, required=True)
     c.add_argument("--max-seconds", type=float, default=None)
     c.add_argument("--max-nodes", type=int, default=None)
-    c.add_argument("--unsafe-5n3-prune", action="store_true",
-                   help="prune with the 5n/3 theorem bound (exploratory runs only)")
     c.add_argument("--json", action="store_true")
     c.set_defaults(func=cmd_exact)
 
@@ -224,10 +221,7 @@ def run(argv: list[str]) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (LinearityError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:  # missing file, a directory, no permission, ...
+    except (ValueError, OSError) as exc:  # LinearityError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

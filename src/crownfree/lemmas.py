@@ -82,7 +82,7 @@ def induced_graph_of_G() -> LinearThreeGraph:
     return validate_linear(triples, 11)
 
 
-def _encode_colored(G_edges, n_hint: int = 0) -> tuple:
+def _encode_colored(G_edges) -> tuple:
     """Canonical form of a 3-edge-colored graph up to vertex relabeling and
     color permutation, by encoding color classes as three extra vertices.
 

@@ -16,9 +16,11 @@ endpoint-degree triple, and only a tie there is broken by canonical
 labelling (the last canonical image), so most children need no
 labelling.  Each class is then reached exactly once and children need
 no dedupe.
-One routine, _children, expands a node for both generate_all and
-exact_ex, a serial depth-first loop with an incumbent seeded from the
-lower-bound gadget.
+One generator, _walk, is the only traversal: a serial depth-first walk
+that yields each node before expanding it.  generate_all yields the
+graph of every non-root node; exact_ex is a fold over the crown-free
+walk that keeps the largest edge count, the classes at that count and
+the node count, and checks the two budgets.
 """
 
 from __future__ import annotations
@@ -107,21 +109,18 @@ def _extend(node: _Node, e: Triple) -> _Node:
 
 
 def _candidate_edges(node: _Node, max_vertices: int) -> list[Triple]:
-    """Feasible additions: free pairs only, new vertices taken consecutively."""
+    """Feasible additions in lexicographic order: free pairs only, new
+    vertices taken consecutively.  A triple on covered vertices is built
+    from a free pair (a, b) and a third vertex c > b."""
     cov = node.cov
-    out: list[Triple] = []
     pairs = node.pairs
-    for t in combinations(range(cov), 3):
-        if (t[0], t[1]) in pairs or (t[0], t[2]) in pairs or (t[1], t[2]) in pairs:
-            continue
-        out.append(t)
+    free = [p for p in combinations(range(cov), 2) if p not in pairs]
+    out = [(a, b, c) for a, b in free for c in range(b + 1, cov)
+           if (a, c) not in pairs and (b, c) not in pairs]
     if cov + 1 <= max_vertices:
-        for p in combinations(range(cov), 2):
-            if p not in pairs:
-                out.append((p[0], p[1], cov))
+        out += [(a, b, cov) for a, b in free]
     if cov + 2 <= max_vertices:
-        for i in range(cov):
-            out.append((i, cov, cov + 1))
+        out += [(i, cov, cov + 1) for i in range(cov)]
     if cov + 3 <= max_vertices:
         out.append((cov, cov + 1, cov + 2))
     return out
@@ -197,22 +196,22 @@ def _accept(child: _Node, e: Triple) -> bool:
     return e in _orbit(d, canon.auts)
 
 
-def _children(node: _Node, max_vertices: int, crown_free: bool) -> list[_Node]:
-    """Accepted children of node, one per isomorphism class: candidates,
-    minus those creating a crown (if crown_free), cut to one per
-    Aut(H)-orbit, minus those failing the strict canonical-augmentation
-    test.  The crown test is Aut(H)-invariant, so the survivors are a
-    union of orbits and the representatives do not depend on the order of
-    the two cuts; a child node is built only for a representative."""
-    candidates = _candidate_edges(node, max_vertices)
-    if crown_free:
-        candidates = crown_free_additions(node.edges, candidates)
-    out: list[_Node] = []
-    for e in _orbit_reps(candidates, node.canonical().auts):
-        child = _extend(node, e)
-        if _accept(child, e):
-            out.append(child)
-    return out
+def _walk(max_vertices: int, crown_free: bool) -> Iterator[_Node]:
+    """The one depth-first traversal: every node, root first, one per
+    isomorphism class, each yielded before it is expanded.  Expansion runs
+    the four steps of the module docstring; the crown cut applies only if
+    crown_free.  A child node is built only for an orbit representative."""
+    stack = [_root()]
+    while stack:
+        node = stack.pop()
+        yield node
+        candidates = _candidate_edges(node, max_vertices)
+        if crown_free:
+            candidates = crown_free_additions(node.edges, candidates)
+        for e in _orbit_reps(candidates, node.canonical().auts):
+            child = _extend(node, e)
+            if _accept(child, e):
+                stack.append(child)
 
 
 # -- generation ----------------------------------------------------------------
@@ -224,12 +223,9 @@ def generate_all(max_vertices: int, crown_free_only: bool = False) -> Iterator[L
     With crown_free_only, subtrees containing a crown are cut (crown-free
     graphs are closed under edge deletion, so this loses nothing).
     """
-    stack = [_root()]
-    while stack:
-        node = stack.pop()
+    for node in _walk(max_vertices, crown_free_only):
         if node.edges:
             yield node.graph()
-        stack.extend(_children(node, max_vertices, crown_free_only))
 
 
 # -- exact Turán number ----------------------------------------------------------
@@ -242,26 +238,24 @@ def exact_ex(
     max_seconds: float | None = None,
     max_nodes: int | None = None,
     threads: int = 1,
-    unsafe_5n3_prune: bool = False,
 ) -> ExtremalCertificate:
     """Exact crown Turán number on n vertices by isomorph-free search.
 
-    The search is one serial depth-first loop.  Without unsafe_5n3_prune
-    it expands every node, so nodes_explored of an exhaustive run is the
-    number of crown-free classes on at most n vertices plus one, the
-    empty root.  threads selects no code
-    path: it is only recorded in the certificate's params.  The incumbent
-    is seeded with the lower-bound gadget.  The theorem-level 5n/3 cap is
-    never used for pruning unless unsafe_5n3_prune is set (it would be
-    circular in any run meant as evidence).  On budget exhaustion the best
-    incumbent is returned with exhaustive=False.  Every witness returned
-    (at most WITNESS_CAP) is rechecked against crown_oracle.
+    A fold over the walk of every crown-free class on at most n vertices:
+    it keeps the largest edge count m and the canonical forms of the
+    classes at that m.  No node is pruned (the theorem's 5n/3 bound is not
+    used), so nodes_explored of an exhaustive run is the number of those
+    classes plus one, the empty root.  The incumbent is seeded with the
+    lower-bound gadget, so a budget stop returns at least its edge count.
+    threads selects no code path: it is only recorded in the
+    certificate's params.  Every witness returned (at most
+    WITNESS_CAP) is rechecked against crown_oracle.
 
     A NaN or negative budget is a ValueError.  Both budgets are checked
-    before each node is visited.  max_seconds can therefore be overrun by
-    the expansion of one node (its candidates' crown checks and canonical
-    tests) plus the lower-bound set-up before the search and the witness
-    recheck after it.
+    before each node is taken, and a stop returns exhaustive=False.
+    max_seconds can therefore be overrun by the expansion of one node (its
+    candidates' crown checks and canonical tests) plus the witness recheck
+    after the search.
     """
     if n < 3:
         raise ValueError("need n >= 3")
@@ -277,25 +271,20 @@ def exact_ex(
         found.add(canonical_edges(n, seed_graph.edges).edges)
     nodes = 0
     deadline = t0 + max_seconds if max_seconds is not None else None
-    hard_cap = (5 * n - 1) // 3 if unsafe_5n3_prune else None
 
-    stack = [_root()]
     exhaustive = True
-    while stack:
+    for node in _walk(n, crown_free=True):
         if (max_nodes is not None and nodes >= max_nodes) or (
             deadline is not None and time.monotonic() > deadline
         ):
             exhaustive = False
             break
-        node = stack.pop()
         nodes += 1
         m = len(node.edges)
         if m > best:
             best, found = m, set()
         if m == best and m > 0:
             found.add(node.canonical().edges)
-        if hard_cap is None or hard_cap >= best:
-            stack.extend(_children(node, n, crown_free=True))
 
     witnesses = sorted(found)[:WITNESS_CAP]
     for w in witnesses:
@@ -312,12 +301,7 @@ def exact_ex(
         nodes_explored=nodes,
         exhaustive=exhaustive,
         elapsed_seconds=time.monotonic() - t0,
-        params={
-            "threads": threads,
-            "max_seconds": max_seconds,
-            "max_nodes": max_nodes,
-            "unsafe_5n3_prune": unsafe_5n3_prune,
-        },
+        params={"threads": threads, "max_seconds": max_seconds, "max_nodes": max_nodes},
     )
 
 
@@ -340,7 +324,7 @@ def lower_bound_construction(n: int) -> LinearThreeGraph:
         p, q, r, s = (3 + 4 * g + i for i in range(4))
         edges += [(0, p, q), (0, r, s), (1, p, r), (1, q, s), (2, p, s), (2, q, r)]
     H = validate_linear(edges, n)
-    if crown_oracle(H) is not None:
+    if find_crown(H) is not None:
         raise AssertionError("lower-bound gadget failed self-certification")
     return H
 

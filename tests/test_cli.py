@@ -138,6 +138,12 @@ class TestExact:
         obj = json.loads(capsys.readouterr().out)
         assert obj["value"] == 7 and obj["exhaustive"] is True
 
+    def test_certificate_schema(self, capsys):
+        assert run(["exact", "--n", "7", "--json"]) == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert obj["schema"] == "crownfree/certificate-v2"
+        assert set(obj["params"]) == {"threads", "max_seconds", "max_nodes"}
+
     def test_budget_exit_3(self, capsys):
         assert run(["exact", "--n", "9", "--max-nodes", "5", "--json"]) == 3
         obj = json.loads(capsys.readouterr().out)

@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import pytest
@@ -149,6 +150,30 @@ def _closure_reps(candidates, gens):
     return reps
 
 
+def _reference_candidates(node, max_vertices):
+    """Every free triple on the covered vertices, in lexicographic order,
+    then the triples through new vertices."""
+    cov, pairs = node.cov, node.pairs
+    out = [t for t in itertools.combinations(range(cov), 3)
+           if not any(p in pairs for p in itertools.combinations(t, 2))]
+    if cov + 1 <= max_vertices:
+        out += [(a, b, cov) for a, b in itertools.combinations(range(cov), 2)
+                if (a, b) not in pairs]
+    if cov + 2 <= max_vertices:
+        out += [(i, cov, cov + 1) for i in range(cov)]
+    if cov + 3 <= max_vertices:
+        out.append((cov, cov + 1, cov + 2))
+    return out
+
+
+class TestCandidateEdges:
+    def test_equals_filtered_triples_to_n9(self):
+        nodes = [_root()] + [_node_of(H.edges) for H in generate_all(9)]
+        for node in nodes:
+            assert _candidate_edges(node, 9) == _reference_candidates(node, 9), node.edges
+        assert len(nodes) == 163
+
+
 class TestOrbitReps:
     def test_union_find_equals_closure_to_n9(self):
         # all candidates, and the crown-free survivors: the crown test is
@@ -228,13 +253,15 @@ class TestExactEx:
             assert crown_oracle(g) is None
             assert len(g.edges) == cert.value
 
-    def test_pruning_sound_vs_unpruned(self):
-        # unpruned truth for n <= 7: max edges over all crown-free classes
+    def test_matches_brute_force_classes(self):
+        # against the independent enumeration: the value is the most edges
+        # of any crown-free class, and the walk visits each class once
+        # plus the empty root
         for n in (6, 7):
-            truth = max(
-                len(H.edges) for H in generate_all(n, crown_free_only=True)
-            )
-            assert exact_ex(n).value == truth
+            classes = brute_force_classes(n, crown_free_only=True)
+            cert = exact_ex(n)
+            assert cert.value == max(len(c) for c in classes)
+            assert cert.nodes_explored == len(classes) + 1
 
     @pytest.mark.parametrize("n,value,nodes,witnesses", [
         (9, 9, 125, WITNESSES_9), (10, 11, 618, WITNESSES_10),
@@ -296,16 +323,6 @@ class TestExactEx:
             assert c.exhaustive == c1.exhaustive
             assert c.nodes_explored == c1.nodes_explored
 
-    def test_unsafe_5n3_prune_same_result(self):
-        safe = exact_ex(10)
-        cut = exact_ex(10, unsafe_5n3_prune=True)
-        assert cut.value == safe.value == 11
-        assert cut.witnesses == safe.witnesses
-        assert cut.exhaustive
-        assert cut.nodes_explored <= safe.nodes_explored == 618
-        assert cut.params["unsafe_5n3_prune"] is True
-        assert safe.params["unsafe_5n3_prune"] is False
-
     def test_monotone_in_n(self):
         vals = [exact_ex(n).value for n in range(3, 10)]
         assert vals == sorted(vals)
@@ -328,9 +345,18 @@ class TestLowerBoundConstruction:
         assert find_crown(H) is None
 
     def test_self_certified(self):
-        H = lower_bound_construction(11)
-        assert crown_oracle(H) is None
-        validate_linear(H.edges, 11)
+        # the construction checks itself with find_crown; recheck with
+        # the independent oracle
+        for n in (11, 19, 23):
+            H = lower_bound_construction(n)
+            assert crown_oracle(H) is None
+            validate_linear(H.edges, n)
+
+    def test_n99_fast(self):
+        t0 = time.monotonic()
+        H = lower_bound_construction(99)
+        assert time.monotonic() - t0 < 5.0
+        assert len(H.edges) == 144
 
 
 class TestRandomLinearGraph:

@@ -56,16 +56,16 @@ class CanonResult:
       (isolated vertices do not affect it).
     perm: full permutation old label -> new label on all n vertices;
       isolated vertices get the labels k..n-1 in ascending original order.
-    auts: generators of the automorphism group of the covered part, as
-      dicts old label -> old label over the cover list; distinct and never
-      the identity, so a graph with trivial group has none.  Orbits are
-      obtained by closing under them; the group itself is not listed.
+    auts: generators of Aut(H), each a tuple g of length n where g[v] is
+      the image of label v; isolated labels are fixed.  Distinct and never
+      the identity, so a graph with trivial group has none.  Orbits come
+      from _orbit_roots over them; the group itself is not listed.
     cover: sorted list of covered vertices (original labels).
     """
 
     edges: tuple[Triple, ...]
     perm: tuple[int, ...]
-    auts: tuple[dict[int, int], ...]
+    auts: tuple[tuple[int, ...], ...]
     cover: tuple[int, ...]
 
 
@@ -73,8 +73,10 @@ def canonical_form(H: LinearThreeGraph) -> CanonResult:
     return canonical_edges(H.n, H.edges)
 
 
-def _orbit_roots(k: int, gens: list[tuple[int, ...]]) -> list[int]:
-    """Orbit representative of each of 0..k-1 under the group of gens."""
+def _orbit_roots(k: int, gens: Sequence[Sequence[int]]) -> list[int]:
+    """Orbit representative of each of 0..k-1 under the group of gens,
+    each a permutation of 0..k-1 as a sequence; the representative is the
+    least point of the orbit."""
     root = list(range(k))
 
     def find(x: int) -> int:
@@ -245,7 +247,13 @@ def canonical_edges(n: int, edges: Sequence[Triple]) -> CanonResult:
     dfs(lab, col, end, range(k), ())
     assert best_img is not None
 
-    auts = tuple({cover[v]: cover[g[v]] for v in range(k)} for g in gens)
+    auts = tuple(gens)
+    if k < n:
+        # positions are not labels: map them through cover and fix the
+        # isolated labels
+        auts = tuple(
+            tuple(cover[g[pos[v]]] if v in pos else v for v in range(n)) for g in gens
+        )
     perm = [0] * n
     for v in range(k):
         perm[cover[v]] = lab0[v]

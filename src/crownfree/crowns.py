@@ -126,10 +126,8 @@ def find_crown_with_base(H: LinearThreeGraph, e: int) -> CrownWitness | None:
     rm = find_rainbow_matching(G)
     if rm is None:
         return None
-    jewels = []
-    for u, v, x in rm:
-        jewels.append(H.pair_index[(u, v) if u < v else (v, u)])
-    w = CrownWitness(e, tuple(jewels))
+    jewels = tuple(H.edges.index(tuple(sorted(j))) for j in rm)
+    w = CrownWitness(e, jewels)
     w.validate(H)
     return w
 

@@ -2,15 +2,14 @@
 
 Vertices are dense 0-based indices.  Edges are strictly increasing triples,
 the edge list is lexicographically sorted and duplicate-free, and any two
-edges share at most one vertex (linearity).  A pair index mapping each
-unordered vertex pair to the unique edge containing it is built eagerly so
-pair-occupancy queries are O(1).
+edges share at most one vertex (linearity).  validate_linear checks
+linearity with a pair table it builds and drops; the graph keeps no index.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -53,19 +52,11 @@ class LinearThreeGraph:
     """An immutable linear 3-graph on vertices 0..n-1.
 
     Do not call the constructor directly with unvalidated data; use
-    validate_linear() for raw input.  pair_index maps each unordered pair
-    (a, b) with a < b to the index of the unique edge containing it.
+    validate_linear() for raw input.
     """
 
     n: int
     edges: tuple[Triple, ...]
-    pair_index: dict[tuple[int, int], int] = field(
-        compare=False, hash=False, repr=False, default_factory=dict
-    )
-
-    def __post_init__(self):
-        if not self.pair_index and self.edges:
-            object.__setattr__(self, "pair_index", _build_pair_index(self.edges))
 
     # -- primitive queries -------------------------------------------------
 
@@ -135,14 +126,6 @@ class LinearThreeGraph:
         return json.dumps(self.to_json_obj())
 
 
-def _build_pair_index(edges: Sequence[Triple]) -> dict[tuple[int, int], int]:
-    idx: dict[tuple[int, int], int] = {}
-    for i, e in enumerate(edges):
-        for p in combinations(e, 2):
-            idx[p] = i
-    return idx
-
-
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
@@ -181,7 +164,7 @@ def validate_linear(triples: Iterable[Sequence[int]], n: int) -> LinearThreeGrap
                     f"edges #{j} {list(norm[j])} and #{i} {list(e)} share pair {set(p)}"
                 )
             pair_seen[p] = i
-    return LinearThreeGraph(n, tuple(norm), pair_seen)
+    return LinearThreeGraph(n, tuple(norm))
 
 
 def from_edges_trusted(n: int, edges: Iterable[Sequence[int]]) -> LinearThreeGraph:

@@ -35,7 +35,9 @@ class ReplayReport:
 
     @property
     def passed(self) -> bool:
-        return not self.failures
+        """No failures over at least one instance: a suite that checked
+        nothing does not pass."""
+        return not self.failures and self.instances > 0
 
     def to_json_obj(self) -> dict:
         return {
@@ -48,7 +50,10 @@ class ReplayReport:
         }
 
     def summary(self) -> str:
-        status = "PASS" if self.passed else f"FAIL ({len(self.failures)} failures)"
+        if self.failures:
+            status = f"FAIL ({len(self.failures)} failures)"
+        else:
+            status = "PASS" if self.instances else "FAIL (no instances)"
         return f"{self.suite}: {self.instances} instances, {status}, {self.elapsed_ms:.0f} ms"
 
 

@@ -6,16 +6,19 @@ runs four steps.  First the candidate additions are listed.  Crown-free
 runs then drop, in one crowns.crown_free_additions call per parent, the
 candidates that would make a crown through the new edge; the parent is
 crown-free, so that is exactly when the child has a crown.  The
-survivors are cut to one per Aut(H)-orbit, the first in candidate order,
-by union-find over their indices under the generators canonical
-labelling returns; the crown test is Aut(H)-invariant, so the survivors
-are a union of orbits.  Only then is a child node H+e built, and it is
-accepted exactly when e lies in the Aut(H+e)-orbit of its deletion edge.
-That edge is chosen by an invariant first, the least sorted
-endpoint-degree triple, and only a tie there is broken by canonical
-labelling (the last canonical image), so most children need no
-labelling.  Each class is then reached exactly once and children need
-no dedupe.
+survivors are cut to one per Aut(H)-orbit, the first in candidate order;
+the crown test is Aut(H)-invariant, so the survivors are a union of
+orbits.  Only then is a child node H+e built, and it is accepted exactly
+when e lies in the Aut(H+e)-orbit of its deletion edge.  That edge is
+chosen by an invariant first, the least sorted endpoint-degree triple,
+and only a tie there is broken by canonical labelling (the last
+canonical image), so most children need no labelling.  Each class is
+then reached exactly once and children need no dedupe.
+Both orbit steps use one representation and one union-find: the
+generators of CanonResult.auts, tuples indexed by label, are turned into
+permutations of the indices of a triple list closed under them (the
+candidates, or the child's edges), and canon._orbit_roots joins the
+indices, keeping the least index of each orbit as its root.
 One generator, _walk, is the only traversal: a serial depth-first walk
 that yields each node before expanding it.  generate_all yields the
 graph of every non-root node; exact_ex is a fold over the crown-free
@@ -30,9 +33,9 @@ import random
 import time
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterator
+from typing import Iterator, Sequence
 
-from .canon import CanonResult, canonical_edges
+from .canon import CanonResult, _orbit_roots, canonical_edges
 from .crowns import crown_free_additions, crown_oracle, find_crown
 from .graphs import LinearThreeGraph, Triple, from_edges_trusted, validate_linear
 
@@ -74,13 +77,11 @@ class _Node:
     _accept has to break a tie, or when the node is expanded or kept as a
     witness."""
 
-    __slots__ = ("edges", "cov", "pairs", "degs", "canon")
+    __slots__ = ("edges", "cov", "degs", "canon")
 
-    def __init__(self, edges: tuple[Triple, ...], cov: int, pairs: frozenset,
-                 degs: tuple[int, ...]):
+    def __init__(self, edges: tuple[Triple, ...], cov: int, degs: tuple[int, ...]):
         self.edges = edges
         self.cov = cov
-        self.pairs = pairs
         self.degs = degs
         self.canon: CanonResult | None = None
 
@@ -94,7 +95,7 @@ class _Node:
 
 
 def _root() -> _Node:
-    return _Node((), 0, frozenset(), ())
+    return _Node((), 0, ())
 
 
 def _extend(node: _Node, e: Triple) -> _Node:
@@ -104,8 +105,7 @@ def _extend(node: _Node, e: Triple) -> _Node:
     degs = list(node.degs) + [0] * (cov - node.cov)
     for v in e:
         degs[v] += 1
-    pairs = node.pairs | {(e[0], e[1]), (e[0], e[2]), (e[1], e[2])}
-    return _Node(edges, cov, pairs, tuple(degs))
+    return _Node(edges, cov, tuple(degs))
 
 
 def _candidate_edges(node: _Node, max_vertices: int) -> list[Triple]:
@@ -113,7 +113,7 @@ def _candidate_edges(node: _Node, max_vertices: int) -> list[Triple]:
     vertices taken consecutively.  A triple on covered vertices is built
     from a free pair (a, b) and a third vertex c > b."""
     cov = node.cov
-    pairs = node.pairs
+    pairs = {p for a, b, c in node.edges for p in ((a, b), (a, c), (b, c))}
     free = [p for p in combinations(range(cov), 2) if p not in pairs]
     out = [(a, b, c) for a, b in free for c in range(b + 1, cov)
            if (a, c) not in pairs and (b, c) not in pairs]
@@ -126,47 +126,28 @@ def _candidate_edges(node: _Node, max_vertices: int) -> list[Triple]:
     return out
 
 
-def _orbit(t: Triple, gens) -> Iterator[Triple]:
-    """The orbit of t under the group generated by gens (each fixing the
-    labels it does not map), yielded lazily by closing t under them."""
-    seen = {t}
-    frontier = [t]
-    while frontier:
-        u = frontier.pop()
-        yield u
-        for alpha in gens:
-            img = tuple(sorted(alpha.get(v, v) for v in u))
-            if img not in seen:
-                seen.add(img)
-                frontier.append(img)
+def _index_perms(triples: Sequence[Triple], gens: Sequence[tuple[int, ...]]) -> list[list[int]]:
+    """Each generator in gens as a permutation of the indices of triples,
+    which must be closed under gens.  Labels past the end of a generator,
+    the new vertices cov, cov+1 and cov+2 of a candidate, stay fixed."""
+    index = {(1 << a) | (1 << b) | (1 << c): i for i, (a, b, c) in enumerate(triples)}
+    perms = []
+    for g in gens:
+        n = len(g)
+        bit = [1 << v for v in g] + [1 << v for v in range(n, n + 3)]
+        perms.append([index[bit[a] | bit[b] | bit[c]] for a, b, c in triples])
+    return perms
 
 
-def _orbit_reps(candidates: list[Triple], gens) -> list[Triple]:
+def _orbit_reps(candidates: list[Triple], gens: Sequence[tuple[int, ...]]) -> list[Triple]:
     """One representative per orbit of gens on candidates, the first in
-    candidate order.  candidates must be closed under gens.  Orbits are
-    found by union-find over candidate indices, one union per candidate
-    and generator, with the root kept at the least index."""
+    candidate order: the indices that are their own root under
+    canon._orbit_roots, whose root is the least index of an orbit.
+    candidates must be closed under gens."""
     if not gens:
         return candidates
-    index = {(1 << a) | (1 << b) | (1 << c): i for i, (a, b, c) in enumerate(candidates)}
-    parent = list(range(len(candidates)))
-
-    def root(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    top = max((t[2] for t in candidates), default=0)
-    for alpha in gens:
-        img = [1 << alpha.get(v, v) for v in range(1 + max(top, max(alpha, default=0)))]
-        for i, (a, b, c) in enumerate(candidates):
-            ri, rj = root(i), root(index[img[a] | img[b] | img[c]])
-            if ri < rj:
-                parent[rj] = ri
-            elif rj < ri:
-                parent[ri] = rj
-    return [t for i, t in enumerate(candidates) if parent[i] == i]
+    roots = _orbit_roots(len(candidates), _index_perms(candidates, gens))
+    return [t for i, t in enumerate(candidates) if roots[i] == i]
 
 
 def _accept(child: _Node, e: Triple) -> bool:
@@ -177,7 +158,8 @@ def _accept(child: _Node, e: Triple) -> bool:
     endpoint-degree triple; if that class has more than one edge, the tie
     goes to the edge with the last canonical image.  The class and the
     orbit are isomorphism invariants, so the test does not depend on the
-    labelling.  Only a tie needs canonical labelling.
+    labelling.  Only a tie needs canonical labelling, and then the orbit
+    is read from canon._orbit_roots over the child's edges.
     """
     degs = child.degs
     key = sorted((degs[e[0]], degs[e[1]], degs[e[2]]))
@@ -193,7 +175,9 @@ def _accept(child: _Node, e: Triple) -> bool:
     canon = child.canonical()
     perm = canon.perm
     d = max(ties, key=lambda f: sorted((perm[f[0]], perm[f[1]], perm[f[2]])))
-    return e in _orbit(d, canon.auts)
+    edges = child.edges
+    roots = _orbit_roots(len(edges), _index_perms(edges, canon.auts))
+    return roots[edges.index(e)] == roots[edges.index(d)]
 
 
 def _walk(max_vertices: int, crown_free: bool) -> Iterator[_Node]:
@@ -336,10 +320,11 @@ def random_linear_graph(n: int, m: int, seed: int) -> LinearThreeGraph:
     """Seeded random linear graph: rejection-sample triples avoiding pair reuse.
 
     Returns fewer than m edges if RETRY_BUDGET rejections come before
-    saturation.  A negative n or m is a ValueError.
+    saturation.  An n below 1 or a negative m is a ValueError, since a
+    graph needs a non-empty vertex set.
     """
-    if n < 0 or m < 0:
-        raise ValueError(f"need n >= 0 and m >= 0, not n = {n}, m = {m}")
+    if n < 1 or m < 0:
+        raise ValueError(f"need n >= 1 and m >= 0, not n = {n}, m = {m}")
     if m > n * (n - 1) // 6:
         raise ValueError(f"m = {m} exceeds the linearity cap n(n-1)/6 = {n * (n - 1) // 6}")
     rng = random.Random(seed)

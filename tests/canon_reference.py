@@ -1,7 +1,8 @@
 """Reference canonical labelling and permutation-group helpers for tests.
 
 `reference_canonical_edges` walks every leaf of the individualization tree
-and returns the whole automorphism group, one dict per element.  It is the
+and returns the whole automorphism group, one tuple per element in the
+format of `CanonResult.auts`: g[v] is the image of label v.  It is the
 slow, unpruned algorithm that `crownfree.canon.canonical_edges` must agree
 with: same canonical edges, same permutation, same cover, and a generator
 set whose closure has exactly as many elements as this group.
@@ -16,11 +17,12 @@ from crownfree.graphs import Triple
 
 
 def closure(gens, points) -> set[tuple[int, ...]]:
-    """All elements of the group generated by gens (dicts over points), as
-    tuples giving the position in points of the image of each point."""
+    """All elements of the group generated by gens (tuples indexed by
+    label, mapping points onto points), as tuples giving the position in
+    points of the image of each point."""
     points = tuple(points)
     index = {v: i for i, v in enumerate(points)}
-    gens_t = [tuple(index[g.get(v, v)] for v in points) for g in gens]
+    gens_t = [tuple(index[g[v]] for v in points) for g in gens]
     ident = tuple(range(len(points)))
     seen = {ident}
     frontier = [ident]
@@ -36,17 +38,21 @@ def closure(gens, points) -> set[tuple[int, ...]]:
     return seen
 
 
-def is_automorphism(alpha: dict[int, int], edges: Sequence[Triple]) -> bool:
+def is_automorphism(alpha: Sequence[int], edges: Sequence[Triple]) -> bool:
+    """alpha, a tuple indexed by label, is a permutation mapping edges
+    onto edges."""
     es = {tuple(sorted(e)) for e in edges}
-    return {tuple(sorted(alpha.get(v, v) for v in e)) for e in es} == es
+    return (sorted(alpha) == list(range(len(alpha)))
+            and {tuple(sorted(alpha[v] for v in e)) for e in es} == es)
 
 
 def reference_canonical_edges(n: int, edges: Sequence[Triple]) -> CanonResult:
     """Full-tree individualization-refinement: every leaf is visited and
-    all of Aut(H) is returned, one dict per automorphism (identity included).
+    all of Aut(H) is returned, one length-n tuple per automorphism of the
+    covered part, isolated labels fixed (identity included).
     """
     if not edges:
-        return CanonResult((), tuple(range(n)), ({},), ())
+        return CanonResult((), tuple(range(n)), (tuple(range(n)),), ())
 
     cover = sorted({v for e in edges for v in e})
     k = len(cover)
@@ -124,7 +130,10 @@ def reference_canonical_edges(n: int, edges: Sequence[Triple]) -> CanonResult:
         alpha = tuple(inv0[lab[v]] for v in range(k))
         if alpha not in seen:
             seen.add(alpha)
-            auts.append({cover[v]: cover[alpha[v]] for v in range(k)})
+            full = list(range(n))
+            for v in range(k):
+                full[cover[v]] = cover[alpha[v]]
+            auts.append(tuple(full))
 
     perm = [0] * n
     for v in range(k):

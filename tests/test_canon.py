@@ -57,7 +57,7 @@ def assert_matches_reference(n, edges):
     assert got.edges == ref.edges
     assert got.perm == ref.perm
     assert got.cover == ref.cover
-    assert all(is_automorphism(alpha, edges) for alpha in got.auts)
+    assert all(len(alpha) == n and is_automorphism(alpha, edges) for alpha in got.auts)
     images = [tuple(alpha[v] for v in got.cover) for alpha in got.auts]
     assert got.cover not in images and len(set(images)) == len(images)
     assert len(closure(got.auts, got.cover)) == len(ref.auts)
@@ -114,6 +114,16 @@ class TestAgainstReference:
         H = ag23()
         res = canonical_edges(H.n, H.edges)
         assert len(closure(res.auts, res.cover)) == 432  # AGL(2,3)
+
+    def test_isolated_label_is_fixed(self):
+        # the Fano plane on labels 0..7 with label 3 isolated: generators
+        # are indexed by label over all n labels and fix the isolated one
+        edges = [tuple(v + (v >= 3) for v in e) for e in FANO_EDGES]
+        res = canonical_edges(8, edges)
+        assert res.cover == (0, 1, 2, 4, 5, 6, 7) and res.auts
+        for g in res.auts:
+            assert len(g) == 8 and g[3] == 3 and is_automorphism(g, edges)
+        assert len(closure(res.auts, res.cover)) == 168
 
     def test_empty_graph(self):
         res = canonical_edges(3, ())

@@ -125,7 +125,7 @@ class TestRandomRoundTrip:
     def test_bad_m(self):
         assert run(["random", "--n", "4", "--m", "99", "--seed", "0"]) == 1
 
-    @pytest.mark.parametrize("n,m", [("-5", "0"), ("3", "-1")])
+    @pytest.mark.parametrize("n,m", [("-5", "0"), ("3", "-1"), ("0", "0")])
     def test_negative_n_or_m_usage_error(self, capsys, n, m):
         assert run(["random", "--n", n, "--m", m, "--seed", "1"]) == 1
         out = capsys.readouterr()

@@ -9,6 +9,7 @@ from crownfree.lemmas import (
     plant_642_instance,
     replay_section3,
     run_suite,
+    verify_discharge_suite,
     verify_lemma1_on_corpus,
     verify_links555,
     verify_order11,
@@ -126,3 +127,20 @@ class TestRunSuite:
     def test_reports_serialize(self):
         obj = verify_order11().to_json_obj()
         assert obj["suite"] == "order11" and obj["passed"] is True
+
+
+class TestEmptySuite:
+    @pytest.mark.parametrize("suite", [
+        lambda: verify_lemma1_on_corpus(0, 0),
+        lambda: verify_discharge_suite(0, -5),
+    ], ids=["lemma1_count_0", "discharge_count_-5"])
+    def test_zero_instances_fail(self, suite):
+        rep = suite()
+        assert rep.instances == 0 and rep.failures == []
+        assert not rep.passed and rep.to_json_obj()["passed"] is False
+        assert "FAIL (no instances)" in rep.summary()
+
+    def test_failures_are_counted_in_summary(self):
+        rep = verify_order11()
+        rep.failures.append(("x", "y"))
+        assert not rep.passed and "FAIL (1 failures)" in rep.summary()

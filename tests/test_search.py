@@ -127,12 +127,14 @@ def _node_of(edges):
 
 
 def _orbit(e, gens):
+    """Orbit of triple e, by closing it under gens (tuples indexed by
+    label; labels past a generator's end are fixed)."""
     seen = {e}
     frontier = [e]
     while frontier:
         t = frontier.pop()
-        for alpha in gens:
-            img = tuple(sorted(alpha.get(v, v) for v in t))
+        for g in gens:
+            img = tuple(sorted(g[v] if v < len(g) else v for v in t))
             if img not in seen:
                 seen.add(img)
                 frontier.append(img)
@@ -153,7 +155,8 @@ def _closure_reps(candidates, gens):
 def _reference_candidates(node, max_vertices):
     """Every free triple on the covered vertices, in lexicographic order,
     then the triples through new vertices."""
-    cov, pairs = node.cov, node.pairs
+    cov = node.cov
+    pairs = {p for e in node.edges for p in itertools.combinations(e, 2)}
     out = [t for t in itertools.combinations(range(cov), 3)
            if not any(p in pairs for p in itertools.combinations(t, 2))]
     if cov + 1 <= max_vertices:
@@ -377,7 +380,7 @@ class TestRandomLinearGraph:
         with pytest.raises(ValueError):
             random_linear_graph(7, 8, seed=0)
 
-    @pytest.mark.parametrize("n,m", [(-5, 0), (-1, 0), (3, -1), (0, -1)])
+    @pytest.mark.parametrize("n,m", [(-5, 0), (-1, 0), (3, -1), (0, -1), (0, 0)])
     def test_negative_n_or_m_rejected(self, n, m):
         with pytest.raises(ValueError, match=">= 0"):
             random_linear_graph(n, m, seed=1)

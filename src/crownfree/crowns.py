@@ -74,26 +74,57 @@ class CrownWitness:
         }
 
 
+def _link_classes(H: LinearThreeGraph, e: int) -> tuple[list, list, list]:
+    """The link of base e split by base vertex: for each vertex x of e in
+    turn, the (y, z, i), y < z, of every other edge i = {x, y, z} meeting
+    e at x, in edge-id order.  An edge sharing two vertices with e is a
+    ValueError."""
+    base = H.edge(e)
+    classes: tuple[list, list, list] = ([], [], [])
+    at = dict(zip(base, classes))
+    for i, f in enumerate(H.edges):
+        x, y, z = f
+        if x in at:
+            if y in at or z in at:
+                if i == e:
+                    continue
+                raise ValueError(f"edges {base} and {f} share two vertices: corrupted input")
+            at[x].append((y, z, i))
+        elif y in at:
+            if z in at:
+                raise ValueError(f"edges {base} and {f} share two vertices: corrupted input")
+            at[y].append((x, z, i))
+        elif z in at:
+            at[z].append((x, y, i))
+    return classes
+
+
 def link_graph(H: LinearThreeGraph, e: int) -> ColoredLinkGraph:
     """Build G(e): for each f = {x,y,z} meeting e at x, edge {y,z} colored x."""
     base = H.edge(e)
-    bset = set(base)
-    colored = []
-    verts: set[int] = set()
-    for i, f in enumerate(H.edges):
-        if i == e:
-            continue
-        inter = bset.intersection(f)
-        if len(inter) >= 2:
-            raise ValueError(f"edges {base} and {f} share two vertices: corrupted input")
-        if not inter:
-            continue
-        x = next(iter(inter))
-        y, z = sorted(v for v in f if v != x)
-        colored.append((y, z, x))
-        verts.update((y, z))
-    colored.sort()
-    return ColoredLinkGraph(base, frozenset(verts), tuple(colored))
+    colored = sorted(
+        (y, z, x) for x, cls in zip(base, _link_classes(H, e)) for y, z, _ in cls
+    )
+    verts = frozenset(v for y, z, _ in colored for v in (y, z))
+    return ColoredLinkGraph(base, verts, tuple(colored))
+
+
+def _rainbow(ca: list, cb: list, cc: list) -> tuple | None:
+    """First triple (ea, eb, ec) in product order of the three lists whose
+    pairs are pairwise disjoint; each entry is (u, v, tag), only u and v
+    are compared.  Lexicographically least when the lists are sorted."""
+    masks_b = [(1 << u) | (1 << v) for u, v, _ in cb]
+    masks_c = [(1 << u) | (1 << v) for u, v, _ in cc]
+    for ea in ca:
+        ma = (1 << ea[0]) | (1 << ea[1])
+        for eb, mb in zip(cb, masks_b):
+            if mb & ma:
+                continue
+            mab = ma | mb
+            for ec, mc in zip(cc, masks_c):
+                if not mc & mab:
+                    return ea, eb, ec
+    return None
 
 
 def find_rainbow_matching(
@@ -104,30 +135,16 @@ def find_rainbow_matching(
     Exhaustive over the triple product of color classes (class sizes are
     bounded by max degree - 1, so this is cheap).
     """
-    a, b, c = G.base
-    ca = sorted(e for e in G.colored_edges if e[2] == a)
-    cb = sorted(e for e in G.colored_edges if e[2] == b)
-    cc = sorted(e for e in G.colored_edges if e[2] == c)
-    for ea in ca:
-        sa = {ea[0], ea[1]}
-        for eb in cb:
-            if eb[0] in sa or eb[1] in sa:
-                continue
-            sb = sa | {eb[0], eb[1]}
-            for ec in cc:
-                if ec[0] not in sb and ec[1] not in sb:
-                    return (ea, eb, ec)
-    return None
+    return _rainbow(*(sorted(e for e in G.colored_edges if e[2] == x) for x in G.base))
 
 
 def find_crown_with_base(H: LinearThreeGraph, e: int) -> CrownWitness | None:
-    """Crown witness with base e iff G(e) has a rainbow matching."""
-    G = link_graph(H, e)
-    rm = find_rainbow_matching(G)
+    """Crown witness with base e iff G(e) has a rainbow matching: the
+    lexicographically least one, jewels in the order of e's vertices."""
+    rm = _rainbow(*(sorted(cls) for cls in _link_classes(H, e)))
     if rm is None:
         return None
-    jewels = tuple(H.edges.index(tuple(sorted(j))) for j in rm)
-    w = CrownWitness(e, jewels)
+    w = CrownWitness(e, (rm[0][2], rm[1][2], rm[2][2]))
     w.validate(H)
     return w
 
@@ -270,29 +287,23 @@ def greedy_crown_642(H: LinearThreeGraph, e: int) -> CrownWitness:
     endpoint avoiding both; the counting argument guarantees each choice
     exists.  Ties broken by least edge id.
     """
-    dv = H.degree_vector(e)
-    if not dominates(dv, (6, 4, 2)):
-        raise ValueError(f"degree vector {dv.as_tuple()} does not dominate (6, 4, 2)")
+    base = H.edge(e)
     d = H.degrees()
+    dv = tuple(sorted((d[v] for v in base), reverse=True))
+    if not dominates(dv, (6, 4, 2)):
+        raise ValueError(f"degree vector {dv} does not dominate (6, 4, 2)")
     # endpoints ordered by ascending degree, ties by index
-    endpoints = sorted(H.edge(e), key=lambda v: (d[v], v))
+    endpoints = sorted(base, key=lambda v: (d[v], v))
     chosen: list[int] = []
     used: set[int] = set()
     for v in endpoints:
-        pick = None
-        for i in H.edges_at(v):
-            if i == e:
-                continue
-            fs = set(H.edge(i))
-            if fs & used:
-                continue
-            pick = i
-            break
-        if pick is None:  # cannot happen under the precondition
+        for i, f in enumerate(H.edges):
+            if v in f and i != e and used.isdisjoint(f):
+                break
+        else:  # cannot happen under the precondition
             raise AssertionError(f"no available jewel through vertex {v}")
-        chosen.append(pick)
-        used |= set(H.edge(pick)) - {v}
-        used.add(v)
+        chosen.append(i)
+        used.update(f)
     w = CrownWitness(e, tuple(chosen))
     w.validate(H)
     return w

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Sequence
 
 Triple = tuple[int, int, int]
@@ -145,25 +144,35 @@ def validate_linear(triples: Iterable[Sequence[int]], n: int) -> LinearThreeGrap
         if len(t) != 3:
             raise LinearityError(f"edge {t} does not have 3 vertices")
         for v in t:
-            if not _is_int(v):
+            if type(v) is not int and not _is_int(v):
                 raise LinearityError(f"edge {t} has a non-integer vertex")
             if not (0 <= v < n):
                 raise LinearityError(f"edge {t}: vertex {v} out of range [0, {n})")
-        if len(set(t)) != 3:
+        a, b, c = t
+        if a == b or a == c or b == c:
             raise LinearityError(f"edge {t} repeats a vertex")
-        norm.append(tuple(sorted(t)))
+        if a > b:
+            a, b = b, a
+        if b > c:
+            b, c = c, b
+            if a > b:
+                a, b = b, a
+        norm.append((a, b, c))
     norm.sort()
-    pair_seen: dict[tuple[int, int], int] = {}
+    pair_seen: dict[int, int] = {}  # pair x < y keyed as x*n + y -> first edge
+    prev = None
     for i, e in enumerate(norm):
-        if i > 0 and norm[i - 1] == e:
+        if e == prev:
             raise LinearityError(f"duplicate edge {list(e)}")
-        for p in combinations(e, 2):
-            j = pair_seen.get(p)
-            if j is not None:
+        prev = e
+        a, b, c = e
+        an = a * n
+        for p in (an + b, an + c, b * n + c):
+            j = pair_seen.setdefault(p, i)
+            if j != i:
                 raise LinearityError(
-                    f"edges #{j} {list(norm[j])} and #{i} {list(e)} share pair {set(p)}"
+                    f"edges #{j} {list(norm[j])} and #{i} {list(e)} share pair {set(divmod(p, n))}"
                 )
-            pair_seen[p] = i
     return LinearThreeGraph(n, tuple(norm))
 
 
@@ -222,6 +231,8 @@ def parse_json_graph(text: str) -> LinearThreeGraph:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise LinearityError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise LinearityError("invalid JSON: nesting too deep") from None
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise LinearityError("JSON graph must be an object with 'n' and 'edges'")
     n, edges = obj["n"], obj["edges"]

@@ -319,9 +319,12 @@ RETRY_BUDGET = 2000  # rejected triples before random_linear_graph gives up
 def random_linear_graph(n: int, m: int, seed: int) -> LinearThreeGraph:
     """Seeded random linear graph: rejection-sample triples avoiding pair reuse.
 
-    Returns fewer than m edges if RETRY_BUDGET rejections come before
-    saturation.  An n below 1 or a negative m is a ValueError, since a
-    graph needs a non-empty vertex set.
+    Returns fewer than m edges if the graph saturates (no triple with three
+    free pairs is left) or RETRY_BUDGET rejections come first.  Saturation
+    is tested when the rejection count is a power of two; every later draw
+    would be rejected, so stopping there gives the same edges.  An n below
+    1 or a negative m is a ValueError, since a graph needs a non-empty
+    vertex set.
     """
     if n < 1 or m < 0:
         raise ValueError(f"need n >= 1 and m >= 0, not n = {n}, m = {m}")
@@ -336,10 +339,20 @@ def random_linear_graph(n: int, m: int, seed: int) -> LinearThreeGraph:
         ps = [(t[0], t[1]), (t[0], t[2]), (t[1], t[2])]
         if any(p in pairs for p in ps):
             misses += 1
+            if not misses & (misses - 1) and _saturated(n, pairs):
+                break
             continue
         pairs.update(ps)
         edges.append(t)
     return from_edges_trusted(n, edges)
+
+
+def _saturated(n: int, pairs: set[tuple[int, int]]) -> bool:
+    """True iff every triple on range(n) has a pair in `pairs`."""
+    return not any(
+        (a, b) not in pairs and (a, c) not in pairs and (b, c) not in pairs
+        for a, b, c in combinations(range(n), 3)
+    )
 
 
 def densify_crown_free(n: int, seed: int, iterations: int = 2000) -> LinearThreeGraph:

@@ -1,12 +1,16 @@
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import crownfree
 from crownfree import parse_l3g, validate_linear, crown_oracle
 from crownfree.cli import run
 
@@ -94,6 +98,22 @@ _inputs = st.one_of(
     st.tuples(st.just("g.l3g"), _sub_ag23.map(lambda g: g.to_l3g())),
     st.tuples(st.sampled_from(["g.json", "g.l3g"]), _l3g_text | st.text(max_size=40)),
 )
+
+
+@pytest.mark.parametrize("argv", [["check"], ["link", "--edge", "0"], ["discharge"]])
+def test_deeply_nested_json_exit_1(tmp_path, argv):
+    """A JSON file nested 100,000 deep is an input error, not a traceback."""
+    p = tmp_path / "deep.json"
+    p.write_text('{"n": 3, "edges": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    src = str(Path(crownfree.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-m", "crownfree.cli", argv[0], str(p), *argv[1:]],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert "error: invalid JSON: nesting too deep" in proc.stderr.splitlines()
+    assert "Traceback" not in proc.stderr
 
 
 class TestCheckFuzz:

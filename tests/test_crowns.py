@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import combinations
 
@@ -17,6 +18,8 @@ from crownfree import (
 )
 from crownfree import search
 from crownfree.crowns import ColoredLinkGraph
+from crownfree.graphs import LinearThreeGraph
+from crownfree.lemmas import plant_642_instance
 from crownfree.search import _candidate_edges, _extend, _root, generate_all, random_linear_graph
 
 from conftest import CROWN_EDGES, ag23
@@ -139,8 +142,51 @@ class TestGreedy642:
         H = induced_graph_of_G()
         e = H.edges.index((0, 1, 2))
         assert H.degree_vector(e).as_tuple() == (5, 5, 5)
-        with pytest.raises(ValueError, match="dominate"):
+        with pytest.raises(ValueError, match=r"^degree vector \(5, 5, 5\) does not dominate \(6, 4, 2\)$"):
             greedy_crown_642(H, e)
+
+
+def link_route_jewels(H, e):
+    """Jewel ids by the link-graph route: find_rainbow_matching on
+    link_graph(H, e), each colored edge mapped back by H.edges.index."""
+    rm = find_rainbow_matching(link_graph(H, e))
+    return None if rm is None else tuple(H.edges.index(tuple(sorted(j))) for j in rm)
+
+
+class TestFindCrownWithBase:
+    def assert_every_base_agrees(self, H):
+        for e in range(len(H.edges)):
+            w = find_crown_with_base(H, e)
+            assert (None if w is None else w.jewels) == link_route_jewels(H, e)
+
+    def test_link_route_on_random_graphs(self):
+        rng = random.Random(17)
+        for _ in range(300):
+            n = rng.randint(9, 15)
+            m = rng.randint(4, n * (n - 1) // 6)
+            self.assert_every_base_agrees(random_linear_graph(n, m, seed=rng.randrange(2**30)))
+
+    def test_link_route_on_planted_instances(self):
+        rng = random.Random(3)
+        for _ in range(500):
+            self.assert_every_base_agrees(plant_642_instance(rng)[0])
+
+    def test_lemma1_corpus_is_pinned(self):
+        """sha256 over the first 1,000 instances of the seed-0 lemma1 corpus:
+        n, edges, planted base id and both witnesses' jewels."""
+        h = hashlib.sha256()
+        rng = random.Random(0)
+        for _ in range(1000):
+            H, e = plant_642_instance(rng)
+            w = find_crown_with_base(H, e)
+            g = greedy_crown_642(H, e)
+            h.update(repr((H.n, H.edges, e, w.jewels, g.jewels)).encode())
+        assert h.hexdigest() == "e9c753b3c9664873518759f137cc44cf1414c9058f4b2f57d37cbac316adab15"
+
+    def test_two_shared_vertices_rejected(self):
+        H = LinearThreeGraph(5, ((0, 1, 2), (0, 1, 3), (2, 3, 4)))
+        with pytest.raises(ValueError, match=r"^edges \(0, 1, 2\) and \(0, 1, 3\) share two vertices"):
+            find_crown_with_base(H, 0)
 
 
 class TestOracle:

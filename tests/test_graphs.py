@@ -56,6 +56,32 @@ class TestValidate:
             validate_linear([], 0)
 
 
+class TestValidateMessages:
+    """The exact text of each LinearityError, pinned."""
+
+    @pytest.mark.parametrize("triples,n,message", [
+        ([(0, 1)], 3, "edge [0, 1] does not have 3 vertices"),
+        ([(0, 1, True)], 3, "edge [0, 1, True] has a non-integer vertex"),
+        ([(0, 1, 2.0)], 3, "edge [0, 1, 2.0] has a non-integer vertex"),
+        # vertices are checked in order: the range error on 5 comes first
+        ([[5, "x", 1]], 3, "edge [5, 'x', 1]: vertex 5 out of range [0, 3)"),
+        ([(2, 0, 2)], 3, "edge [2, 0, 2] repeats a vertex"),
+        ([(0, 1, 2), (2, 1, 0)], 3, "duplicate edge [0, 1, 2]"),
+        ([(0, 1, 2), (4, 0, 1)], 5, "edges #0 [0, 1, 2] and #1 [0, 1, 4] share pair {0, 1}"),
+        # the pair prints as a set, in the set's own order
+        ([(0, 3, 4), (1, 2, 8), (9, 8, 7), (8, 7, 10)], 11,
+         "edges #2 [7, 8, 9] and #3 [7, 8, 10] share pair {8, 7}"),
+    ])
+    def test_message(self, triples, n, message):
+        with pytest.raises(LinearityError) as info:
+            validate_linear(triples, n)
+        assert str(info.value) == message
+
+    def test_generator_triples_accepted(self):
+        g = validate_linear([(x for x in (2, 0, 1)), iter([3, 4, 0])], 5)
+        assert g.edges == ((0, 1, 2), (0, 3, 4))
+
+
 class TestDegrees:
     def test_crown_base(self, crown):
         base = crown.edges.index((0, 1, 2))
@@ -157,6 +183,11 @@ class TestSerialization:
     def test_l3g_not_increasing_triple(self):
         with pytest.raises(LinearityError, match="increasing"):
             parse_l3g("3 1\n2 1 0\n")
+
+    def test_json_nesting_too_deep(self):
+        text = '{"n": 3, "edges": ' + "[" * 100_000 + "]" * 100_000 + "}"
+        with pytest.raises(LinearityError, match="^invalid JSON: nesting too deep$"):
+            parse_json_graph(text)
 
     def test_json_roundtrip(self, fano):
         assert parse_json_graph(fano.to_json()).edges == fano.edges

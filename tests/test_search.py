@@ -21,7 +21,7 @@ from crownfree import (
 from crownfree.canon import canonical_edges, canonical_form
 from crownfree.lemmas import induced_graph_of_G
 from crownfree.crowns import crown_free_additions
-from crownfree.search import _accept, _candidate_edges, _extend, _orbit_reps, _root, generate_all
+from crownfree.search import RETRY_BUDGET, _accept, _candidate_edges, _extend, _orbit_reps, _root, generate_all
 
 
 # Certificates of exact_ex(9) and exact_ex(10): the canonical witnesses,
@@ -384,6 +384,34 @@ class TestRandomLinearGraph:
     def test_negative_n_or_m_rejected(self, n, m):
         with pytest.raises(ValueError, match=">= 0"):
             random_linear_graph(n, m, seed=1)
+
+    def test_same_edges_as_sampling_to_the_retry_budget(self):
+        """Stopping at saturation returns what the loop without the
+        saturation test returns, short graphs included."""
+
+        def full_budget(n, m, seed):
+            rng = random.Random(seed)
+            pairs, edges, misses = set(), [], 0
+            while len(edges) < m and misses < RETRY_BUDGET:
+                t = tuple(sorted(rng.sample(range(n), 3)))
+                ps = [(t[0], t[1]), (t[0], t[2]), (t[1], t[2])]
+                if any(p in pairs for p in ps):
+                    misses += 1
+                    continue
+                pairs.update(ps)
+                edges.append(t)
+            return tuple(sorted(edges))
+
+        rng = random.Random(11)
+        short = 0
+        for seed in range(300):
+            n = rng.randint(9, 15)
+            cap = n * (n - 1) // 6
+            m = rng.randint(1, cap)
+            want = full_budget(n, m, seed)
+            assert random_linear_graph(n, m, seed).edges == want
+            short += len(want) < m
+        assert short >= 20
 
 
 class TestDensify:

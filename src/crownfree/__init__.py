@@ -16,7 +16,6 @@ from .crowns import (
     find_crown_with_base,
     find_rainbow_matching,
     greedy_crown_642,
-    has_crown_containing,
     link_graph,
 )
 from .discharging import (
@@ -42,7 +41,6 @@ from .graphs import (
 )
 from .search import (
     ExtremalCertificate,
-    densify_crown_free,
     exact_ex,
     generate_all,
     lower_bound_construction,

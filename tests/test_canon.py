@@ -39,9 +39,11 @@ def relabelled(edges, n, rng):
 
 
 def two_colour_prefixes():
-    """The 3-graphs that enumerate_555_link_graphs labels to deduplicate
-    its two-colour prefixes: colour class 0 fixed, class 1 every matching
-    of four pairs, each coloured pair {u, w} joined to its colour vertex."""
+    """The two-colour prefixes of enumerate_555_link_graphs as 3-graphs:
+    colour class 0 fixed, class 1 every matching of four pairs, each
+    coloured pair {u, w} joined to its colour vertex.  The enumeration
+    keys them by their alternating components and labels none; they are
+    kept as a high-symmetry reference set for canon."""
     first = [(0, 1), (2, 3), (4, 5), (6, 7)]
     out = []
     for second, n_used in _matchings4(set(first), 8):

@@ -12,7 +12,6 @@ from crownfree import (
     find_crown_with_base,
     find_rainbow_matching,
     greedy_crown_642,
-    has_crown_containing,
     link_graph,
     validate_linear,
 )
@@ -23,6 +22,7 @@ from crownfree.lemmas import plant_642_instance
 from crownfree.search import _candidate_edges, _extend, _root, generate_all, random_linear_graph
 
 from conftest import CROWN_EDGES, ag23
+from crown_reference import has_crown_containing
 
 
 def sunflower(da, db, dc):

@@ -1,9 +1,14 @@
 import pytest
 
 from crownfree import find_crown, find_rainbow_matching, crown_oracle
+from crownfree import lemmas
 from crownfree.lemmas import (
+    _encode_colored,
+    _matchings4,
+    _two_colour_key,
     canonical_link_graph_G,
     encode_canonical_G,
+    enumerate_555_link_graphs,
     induced_graph_of_G,
     min_counterexample_order,
     plant_642_instance,
@@ -76,6 +81,69 @@ class TestLinks555:
             (0, 1, 8), (0, 2, 9), (0, 3, 10), (1, 2, 10), (1, 3, 9), (2, 3, 8),
             (4, 5, 8), (4, 6, 9), (4, 7, 10), (5, 6, 10), (5, 7, 9), (6, 7, 8),
         )
+
+
+def _first_by_key(prefixes, key):
+    """Prefix indices grouped by key, groups in order of first member."""
+    groups: dict = {}
+    for i, colored in enumerate(prefixes):
+        groups.setdefault(key(colored), []).append(i)
+    return list(groups.values())
+
+
+def _coloured(pairs_by_colour):
+    return [(u, w, c) for c, pairs in enumerate(pairs_by_colour) for u, w in pairs]
+
+
+class TestTwoColourKey:
+    def test_same_partition_as_canonical_labelling(self):
+        first = [(0, 1), (2, 3), (4, 5), (6, 7)]
+        prefixes = [_coloured([first, second]) for second, _ in _matchings4(set(first), 8)]
+        assert len(prefixes) == 3763
+        by_key = _first_by_key(prefixes, _two_colour_key)
+        by_canon = _first_by_key(prefixes, _encode_colored)
+        assert len(by_key) == 32
+        # same classes, and the same first representative in the same order
+        assert by_key == by_canon
+
+    def test_8_cycle_is_not_two_4_cycles(self):
+        cycle8 = _coloured([[(0, 1), (2, 3), (4, 5), (6, 7)], [(1, 2), (3, 4), (5, 6), (0, 7)]])
+        two4 = _coloured([[(0, 1), (2, 3), (4, 5), (6, 7)], [(1, 2), (0, 3), (5, 6), (4, 7)]])
+        assert _two_colour_key(cycle8) == ((0, 8, -1),)
+        assert _two_colour_key(two4) == ((0, 4, -1), (0, 4, -1))
+        assert _encode_colored(cycle8) != _encode_colored(two4)
+
+    def test_odd_path_equals_its_colour_swap(self):
+        path = _coloured([[(0, 1), (2, 3)], [(1, 2)]])
+        swapped = _coloured([[(1, 2)], [(0, 1), (2, 3)]])
+        assert _two_colour_key(path) == _two_colour_key(swapped) == ((1, 3, 0),)
+        # an even path has one end of each colour, so no end colour
+        assert _two_colour_key(_coloured([[(0, 1)], [(1, 2)]])) == ((1, 2, -1),)
+
+    def test_edge_on_fresh_vertices_is_counted(self):
+        square = [[(0, 1), (2, 3)], [(1, 2), (0, 3)]]
+        plus_edge = _coloured([square[0] + [(4, 5)], square[1]])
+        assert _two_colour_key(plus_edge) == ((0, 4, -1), (1, 1, 0))
+        assert _two_colour_key(plus_edge) != _two_colour_key(_coloured(square))
+
+    def test_canon_calls_are_pinned(self, monkeypatch):
+        # the prefixes are keyed without labelling: the enumeration labels
+        # only its one rainbow-free completion, and verify_links555 adds
+        # the fixed graph (3,764 and 3,765 calls with labelled prefixes)
+        calls = []
+        real = lemmas.canonical_edges
+
+        def counting(n, edges):
+            calls.append(n)
+            return real(n, edges)
+
+        expected = [encode_canonical_G()]
+        monkeypatch.setattr(lemmas, "canonical_edges", counting)
+        assert enumerate_555_link_graphs() == expected
+        assert len(calls) == 1
+        calls.clear()
+        assert verify_links555().passed
+        assert len(calls) == 2
 
 
 class TestLemma1Corpus:

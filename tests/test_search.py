@@ -13,7 +13,6 @@ from crownfree import (
     crown_oracle,
     find_crown,
     lower_bound_construction,
-    densify_crown_free,
     exact_ex,
     random_linear_graph,
     validate_linear,
@@ -412,25 +411,3 @@ class TestRandomLinearGraph:
             assert random_linear_graph(n, m, seed).edges == want
             short += len(want) < m
         assert short >= 20
-
-
-class TestDensify:
-    def test_n11_meets_construction(self):
-        H = densify_crown_free(11, seed=3, iterations=30)
-        assert len(H.edges) >= 12
-        assert find_crown(H) is None
-        # the seeded output is fixed
-        assert H.edges == (
-            (0, 1, 2), (0, 3, 4), (0, 5, 6), (0, 7, 8), (0, 9, 10),
-            (1, 3, 5), (1, 4, 6), (1, 7, 9), (1, 8, 10),
-            (2, 3, 6), (2, 4, 5), (2, 7, 10), (2, 8, 9),
-        )
-
-    def test_never_beats_exact(self):
-        v = exact_ex(9).value
-        H = densify_crown_free(9, seed=1, iterations=30)
-        assert len(H.edges) <= v
-
-    def test_n4(self):
-        H = densify_crown_free(4, seed=0, iterations=5)
-        assert len(H.edges) == 1

@@ -108,15 +108,15 @@ def cmd_discharge(args) -> int:
     degs = H.degrees()
     n = H.n
     large = sorted(discharging.large_set(H))
-    per_edge = [
-        {
-            "edge": list(H.edge(e)),
-            "degree_vector": list(H.degree_vector(e).as_tuple()),
-            "s": discharging.s_of(H, e),
-            "s_star": discharging.s_star(H, e),
-        }
-        for e in range(len(H.edges))
-    ]
+    per_edge = []
+    for edge in H.edges:
+        s, s_star = discharging._star_sums(degs, edge)
+        per_edge.append({
+            "edge": list(edge),
+            "degree_vector": sorted((degs[u] for u in edge), reverse=True),
+            "s": s,
+            "s_star": s_star,
+        })
     rhs = discharging.lemma2_rhs(n, len(large))
     obj = {
         "schema": "crownfree/discharge-v1",

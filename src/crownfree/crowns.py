@@ -53,18 +53,20 @@ class CrownWitness:
         ids = (self.base,) + self.jewels
         if len(set(ids)) != 4:
             raise ValueError(f"witness edges not distinct: {ids}")
-        be = set(H.edge(self.base))
-        hits = []
-        jsets = [set(H.edge(j)) for j in self.jewels]
-        for j1, j2 in combinations(jsets, 2):
-            if j1 & j2:
-                raise ValueError(f"jewels intersect: {sorted(j1)} / {sorted(j2)}")
-        for js in jsets:
-            inter = be & js
-            if len(inter) != 1:
-                raise ValueError(f"jewel {sorted(js)} meets base {sorted(be)} in {inter}")
-            hits.append(next(iter(inter)))
-        if set(hits) != be:
+        edges = [H.edge(i) for i in ids]
+        bm, m0, m1, m2 = [_mask(f) for f in edges]
+        if m0 & m1 or m0 & m2 or m1 & m2:
+            for j1, j2 in combinations([set(f) for f in edges[1:]], 2):
+                if j1 & j2:
+                    raise ValueError(f"jewels intersect: {sorted(j1)} / {sorted(j2)}")
+        h0, h1, h2 = bm & m0, bm & m1, bm & m2  # one bit each in a crown
+        if not h0 or h0 & (h0 - 1) or not h1 or h1 & (h1 - 1) or not h2 or h2 & (h2 - 1):
+            be = set(edges[0])
+            for js in map(set, edges[1:]):
+                if len(be & js) != 1:
+                    raise ValueError(f"jewel {sorted(js)} meets base {sorted(be)} in {be & js}")
+        if h0 | h1 | h2 != bm:
+            hits = [h.bit_length() - 1 for h in (h0, h1, h2)]
             raise ValueError(f"jewels hit {hits}, not all three base vertices")
 
     def to_json_obj(self, H: LinearThreeGraph) -> dict:
@@ -72,6 +74,14 @@ class CrownWitness:
             "base": list(H.edge(self.base)),
             "jewels": [list(H.edge(j)) for j in self.jewels],
         }
+
+
+def _mask(vs) -> int:
+    """Bitmask of a vertex collection."""
+    m = 0
+    for v in vs:
+        m |= 1 << v
+    return m
 
 
 def _link_classes(H: LinearThreeGraph, e: int) -> tuple[list, list, list]:

@@ -6,7 +6,10 @@ a sequence f_0..f_k of integer functions from a near-uniform start (values
 in {5, 6, 7}) down to the true degree function by unit transfers, with an
 increase-only / decrease-only vertex partition, and exposes the quadratic
 bookkeeping (T_i, Delta_i, g, h, Delta_v) needed by the two inequality
-checks.  All arithmetic is exact; no floats anywhere in this module.
+checks.  Building, verifying and bookkeeping a trace of k steps on n
+vertices costs O(n + k): one running f is updated per step, and the
+intermediate functions f_0..f_k are listed only by DischargeTrace.replay().
+All arithmetic is exact; no floats anywhere in this module.
 """
 
 from __future__ import annotations
@@ -148,14 +151,20 @@ def build_discharge_sequence(d: list[int]) -> DischargeTrace:
             f0[order[-1]] = 6
             f0[order[-2]] = 6
 
+    # Vertices with f > d only lose units and vertices with f < d only gain
+    # them, so neither set ever grows: the lowest loser a only moves up the
+    # order and the highest gainer b only moves down.
     f = list(f0)
     steps: list[tuple[int, int]] = []
+    a, b = 0, n - 1
     while True:
-        a = next((i for i in range(n) if f[order[i]] > d[order[i]]), None)
-        b = next((i for i in range(n - 1, -1, -1) if f[order[i]] < d[order[i]]), None)
-        if a is None and b is None:
+        while a < n and f[order[a]] <= d[order[a]]:
+            a += 1
+        while b >= 0 and f[order[b]] >= d[order[b]]:
+            b -= 1
+        if a == n and b < 0:
             break
-        assert a is not None and b is not None, "transfer imbalance: sums differ"
+        assert a < n and b >= 0, "transfer imbalance: sums differ"
         loser, gainer = order[a], order[b]
         if f[gainer] < f[loser]:
             raise AssertionError(
@@ -177,55 +186,78 @@ def build_discharge_sequence(d: list[int]) -> DischargeTrace:
 
 
 def _fill_derived(trace: DischargeTrace) -> None:
-    fs = trace.replay()
-    trace.t = [sum(v * v for v in fi) for fi in fs]
-    trace.delta = [trace.t[i + 1] - trace.t[i] for i in range(trace.k)]
-    trace.g = []
-    trace.h = []
-    trace.touched_steps = {}
+    """T_i, Delta_i, g, h, the steps touching each vertex and Delta_v, from
+    one running f: a step moving a unit to x from y adds g = 2f(x) + 1 and
+    removes h = 2f(y) - 1, so T_{i+1} = T_i + g_i - h_i."""
+    f = list(trace.f0)
+    t = sum(v * v for v in f)
+    trace.t = ts = [t]
+    trace.delta = delta = []
+    trace.g = g = []
+    trace.h = h = []
+    trace.touched_steps = touched = {}
     for i, (x, y) in enumerate(trace.steps):
-        fx, fy = fs[i][x], fs[i][y]
-        trace.g.append((fx + 1) ** 2 - fx ** 2)
-        trace.h.append(fy ** 2 - (fy - 1) ** 2)
-        trace.touched_steps.setdefault(x, []).append(i)
-        trace.touched_steps.setdefault(y, []).append(i)
-    trace.delta_v = {
-        v: sum(trace.delta[i] for i in idxs) for v, idxs in trace.touched_steps.items()
-    }
+        gi = 2 * f[x] + 1
+        hi = 2 * f[y] - 1
+        f[x] += 1
+        f[y] -= 1
+        t += gi - hi
+        ts.append(t)
+        delta.append(gi - hi)
+        g.append(gi)
+        h.append(hi)
+        touched.setdefault(x, []).append(i)
+        touched.setdefault(y, []).append(i)
+    trace.delta_v = {v: sum(delta[i] for i in idxs) for v, idxs in touched.items()}
 
 
 def verify_discharge_trace(trace: DischargeTrace, d: list[int]) -> tuple[bool, list[str]]:
     """Check every invariant of a trace against the target degree function.
 
-    Violations are returned as data, not raised.
+    One pass over f0 and the steps recomputes f_i, its sum and T_i, so a
+    tampered step or a tampered stored t is caught: the stored t is only
+    compared, never trusted.  Violations are returned as data, not raised,
+    grouped by condition in a fixed order.
     """
     bad: list[str] = []
     n = len(d)
-    if len(trace.f0) != n:
-        return False, [f"f0 has length {len(trace.f0)}, expected {n}"]
-    for v, x in enumerate(trace.f0):
+    f0 = trace.f0
+    if len(f0) != n:
+        return False, [f"f0 has length {len(f0)}, expected {n}"]
+    for v, x in enumerate(f0):
         if not (5 <= x <= 7):
             bad.append(f"condition (1): f0({v}) = {x} not in [5, 7]")
-    fs = trace.replay()
-    if fs[-1] != list(d):
+    inc = trace.increase_set
+    total0 = sum(f0)
+    f = list(f0)
+    t = sum(v * v for v in f)
+    ts = [t]
+    step_bad: list[str] = []
+    conservation_bad: list[str] = []
+    for i, (x, y) in enumerate(trace.steps):
+        if x not in inc:
+            step_bad.append(f"condition (3): step {i + 1} gainer {x} not in I")
+        if y in inc:
+            step_bad.append(f"condition (3): step {i + 1} loser {y} not in D")
+        fx, fy = f[x], f[y]
+        if fx < fy:
+            step_bad.append(f"condition (3): step {i + 1} has f(x) = {fx} < f(y) = {fy}")
+        f[x] += 1
+        f[y] -= 1
+        # f is read back after both updates, so a step with x == y is a no-op
+        if f[x] + f[y] != fx + fy:
+            conservation_bad.append(f"conservation broken at f_{i + 1}")
+        t += f[x] * f[x] + f[y] * f[y] - fx * fx - fy * fy
+        ts.append(t)
+    if f != list(d):
         bad.append("condition (2): f_k != d")
-    total0 = sum(trace.f0)
     if total0 != 5 * n + trace.residue:
         bad.append(f"sum f0 = {total0} != 5n + l = {5 * n + trace.residue}")
-    for i, (x, y) in enumerate(trace.steps):
-        if x not in trace.increase_set:
-            bad.append(f"condition (3): step {i + 1} gainer {x} not in I")
-        if y in trace.increase_set:
-            bad.append(f"condition (3): step {i + 1} loser {y} not in D")
-        if fs[i][x] < fs[i][y]:
-            bad.append(f"condition (3): step {i + 1} has f(x) = {fs[i][x]} < f(y) = {fs[i][y]}")
+    bad += step_bad
     for v in range(n):
-        if v not in trace.increase_set and trace.f0[v] != 5:
-            bad.append(f"condition (4): v = {v} in D but f0(v) = {trace.f0[v]}")
-    for i, fi in enumerate(fs):
-        if sum(fi) != total0:
-            bad.append(f"conservation broken at f_{i}")
-    ts = [sum(v * v for v in fi) for fi in fs]
+        if v not in inc and f0[v] != 5:
+            bad.append(f"condition (4): v = {v} in D but f0(v) = {f0[v]}")
+    bad += conservation_bad
     if trace.t and trace.t != ts:
         bad.append("stored T_i differ from replay")
     for i in range(len(ts) - 1):
@@ -243,9 +275,9 @@ def delta_v_bound_check(trace: DischargeTrace, v: int, m: int) -> tuple[int, int
     """
     if m < 9:
         raise ValueError(f"vertex degree m = {m} must be >= 9")
-    fs = trace.replay()
-    if fs[-1][v] != m:
-        raise ValueError(f"trace ends with f_k({v}) = {fs[-1][v]}, not m = {m}")
+    fk = trace.f0[v] + sum((x == v) - (y == v) for x, y in trace.steps)
+    if fk != m:
+        raise ValueError(f"trace ends with f_k({v}) = {fk}, not m = {m}")
     idxs = trace.touched_steps.get(v, [])
     for i in idxs:
         if trace.h[i] > 9:

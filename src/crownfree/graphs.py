@@ -134,10 +134,33 @@ def validate_linear(triples: Iterable[Sequence[int]], n: int) -> LinearThreeGrap
 
     Raises LinearityError naming the first offending triple or pair of
     edges: out-of-range index, repeated vertex within a triple, duplicate
-    edge, or two edges sharing two vertices.
+    edge, or two edges sharing two vertices.  Input that is already a list
+    of increasing in-range int tuples with no shared pair takes a fast
+    path; anything else goes through the full checks, which name the fault.
     """
     if n < 1:
         raise LinearityError("vertex set must be non-empty (n >= 1)")
+    if not isinstance(triples, (list, tuple)):
+        triples = list(triples)
+    fast: list[Triple] = []
+    seen: set[int] = set()  # pair x < y keyed as x*n + y
+    for t in triples:
+        if type(t) is not tuple or len(t) != 3:
+            break
+        a, b, c = t
+        if not (type(a) is int and type(b) is int and type(c) is int and 0 <= a < b < c < n):
+            break
+        an = a * n
+        p, q, r = an + b, an + c, b * n + c
+        if p in seen or q in seen or r in seen:
+            break
+        seen.add(p)
+        seen.add(q)
+        seen.add(r)
+        fast.append(t)
+    else:
+        fast.sort()
+        return LinearThreeGraph(n, tuple(fast))
     norm: list[Triple] = []
     for t in triples:
         t = list(t)

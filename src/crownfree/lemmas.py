@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from itertools import combinations
 
 from .canon import canonical_edges
 from .crowns import (
@@ -332,22 +331,32 @@ def plant_642_instance(rng: random.Random) -> tuple[LinearThreeGraph, int]:
     da = rng.randint(6, 9)
     db = rng.randint(4, min(da, 8))
     dc = rng.randint(2, min(db, 6))
+    # the base's 3 vertices, 2 fresh ones per petal, up to 6 spare ones
+    n = 3 + 2 * (da + db + dc - 3) + rng.randint(0, 6)
+    # pairs x < y keyed as x*n + y; a petal (v, nxt, nxt + 1) has v < 3 <= nxt
     edges: list[Triple] = [(0, 1, 2)]
+    pairs = {0 * n + 1, 0 * n + 2, 1 * n + 2}
     nxt = 3
     for v, dv in ((0, da), (1, db), (2, dc)):
+        vn = v * n
         for _ in range(dv - 1):
-            edges.append(tuple(sorted((v, nxt, nxt + 1))))
+            edges.append((v, nxt, nxt + 1))
+            pairs.update((vn + nxt, vn + nxt + 1, nxt * n + nxt + 1))
             nxt += 2
-    n = nxt + rng.randint(0, 6)
     # random noise edges that keep linearity (pair-reuse rejected)
-    pairs = {p for e in edges for p in combinations(e, 2)}
     for _ in range(rng.randint(0, 12)):
-        t = tuple(sorted(rng.sample(range(n), 3)))
-        ps = list(combinations(t, 2))
-        if any(p in pairs for p in ps):
+        a, b, c = rng.sample(range(n), 3)
+        if a > b:
+            a, b = b, a
+        if b > c:
+            b, c = c, b
+            if a > b:
+                a, b = b, a
+        p, q, r = a * n + b, a * n + c, b * n + c
+        if p in pairs or q in pairs or r in pairs:
             continue
-        pairs.update(ps)
-        edges.append(t)
+        pairs.update((p, q, r))
+        edges.append((a, b, c))
     H = validate_linear(edges, n)
     return H, H.edges.index((0, 1, 2))
 

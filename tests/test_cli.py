@@ -237,6 +237,27 @@ class TestDischarge:
         assert obj["trace"] is None
 
 
+    def test_per_edge_entries_match_edge_queries(self, tmp_path, capsys):
+        from crownfree.discharging import s_of, s_star
+        from conftest import spoke_wheel
+
+        H = spoke_wheel(14)  # hub edges have s = 18 > 15, so s* clamps
+        path = tmp_path / "w.l3g"
+        path.write_text(H.to_l3g())
+        assert run(["discharge", str(path), "--json"]) == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert obj["edges"] == [
+            {
+                "edge": list(H.edge(e)),
+                "degree_vector": list(H.degree_vector(e).as_tuple()),
+                "s": s_of(H, e),
+                "s_star": s_star(H, e),
+            }
+            for e in range(len(H.edges))
+        ]
+        assert any(x["s"] != x["s_star"] for x in obj["edges"])
+
+
 class TestLemmas:
     def test_order11_text(self, capsys):
         assert run(["lemmas", "--suite", "order11"]) == 0

@@ -16,7 +16,7 @@ from crownfree import (
     validate_linear,
 )
 from crownfree import search
-from crownfree.crowns import ColoredLinkGraph
+from crownfree.crowns import ColoredLinkGraph, CrownWitness
 from crownfree.graphs import LinearThreeGraph
 from crownfree.lemmas import plant_642_instance
 from crownfree.search import _candidate_edges, _extend, _root, generate_all, random_linear_graph
@@ -120,6 +120,39 @@ class TestFindCrown:
     def test_fewer_than_four_edges(self):
         g = validate_linear([(0, 1, 2), (3, 4, 5), (6, 7, 8)], 9)
         assert find_crown(g) is None
+
+
+class TestWitnessMessages:
+    """The exact text of each CrownWitness.validate ValueError, pinned."""
+
+    @pytest.mark.parametrize("edges,n,jewels,message", [
+        (CROWN_EDGES, 9, (1, 1, 2), "witness edges not distinct: (0, 1, 1, 2)"),
+        ([(0, 1, 2), (0, 3, 4), (1, 3, 5), (2, 6, 7)], 8, (1, 2, 3),
+         "jewels intersect: [0, 3, 4] / [1, 3, 5]"),
+        ([(0, 1, 2), (0, 3, 4), (1, 5, 6), (7, 8, 9)], 10, (1, 2, 3),
+         "jewel [7, 8, 9] meets base [0, 1, 2] in set()"),
+    ])
+    def test_message(self, edges, n, jewels, message):
+        w = CrownWitness(0, jewels)
+        with pytest.raises(ValueError) as info:
+            w.validate(validate_linear(edges, n))
+        assert str(info.value) == message
+
+    # the last two faults need a graph that validate_linear would refuse
+    def test_jewel_meets_base_twice(self):
+        H = LinearThreeGraph(9, ((0, 1, 2), (0, 1, 3), (4, 5, 6), (2, 7, 8)))
+        with pytest.raises(ValueError) as info:
+            CrownWitness(0, (1, 2, 3)).validate(H)
+        assert str(info.value) == "jewel [0, 1, 3] meets base [0, 1, 2] in {0, 1}"
+
+    def test_jewels_miss_a_base_vertex(self):
+        H = LinearThreeGraph(10, ((0, 1, 2, 9), (0, 3, 4), (1, 5, 6), (2, 7, 8)))
+        with pytest.raises(ValueError) as info:
+            CrownWitness(0, (1, 2, 3)).validate(H)
+        assert str(info.value) == "jewels hit [0, 1, 2], not all three base vertices"
+
+    def test_valid_witness_passes(self, crown):
+        CrownWitness(0, (1, 2, 3)).validate(crown)
 
 
 class TestGreedy642:

@@ -20,6 +20,7 @@ from crownfree.discharging import DegreePreconditionError
 from crownfree.lemmas import random_degree_function
 
 from conftest import spoke_wheel
+from discharge_reference import reference_delta_v_bound, reference_trace, replay
 
 
 def star_graph(k):
@@ -153,6 +154,63 @@ class TestVerifierNegativeCases:
         ok, bad = verify_discharge_trace(tr, d)
         assert not ok
         assert any("condition (1)" in b for b in bad)
+
+
+    def test_tampered_middle_step_fails(self):
+        d = [2, 2, 5, 5, 5, 11]
+        tr = build_discharge_sequence(d)
+        mid = tr.k // 2
+        tr.steps[mid] = (tr.steps[mid][1], tr.steps[mid][0])
+        ok, bad = verify_discharge_trace(tr, d)
+        assert not ok
+        assert "stored T_i differ from replay" in bad
+        assert f"condition (3): step {mid + 1} gainer {tr.steps[mid][0]} not in I" in bad
+
+    def test_tampered_stored_t_fails(self):
+        d = [2, 2, 5, 5, 5, 11]
+        tr = build_discharge_sequence(d)
+        tr.t[3] += 1
+        ok, bad = verify_discharge_trace(tr, d)
+        assert not ok
+        assert bad == ["stored T_i differ from replay"]
+
+
+class TestAgainstReference:
+    """The linear-time builder and bookkeeping against the O(k * n)
+    rescan-and-replay form in tests/discharge_reference.py."""
+
+    def test_traces_match(self):
+        rng = random.Random(1009)
+        for _ in range(600):
+            d = random_degree_function(rng)
+            ref = reference_trace(d)
+            tr = build_discharge_sequence(d)
+            for name, want in ref.items():
+                assert getattr(tr, name) == want, (d, name)
+            for v, m in enumerate(d):
+                if m >= 9:
+                    assert delta_v_bound_check(tr, v, m) == reference_delta_v_bound(ref, v, m)
+
+    def test_replay_matches_reference(self):
+        rng = random.Random(1013)
+        for _ in range(50):
+            d = random_degree_function(rng)
+            tr = build_discharge_sequence(d)
+            assert tr.replay() == replay(tr.f0, tr.steps)
+            assert tr.replay()[-1] == d
+
+    def test_seed_0_totals_are_pinned(self):
+        rng = random.Random(0)
+        sum_k = sum_tk = sum_dv = max_k = sum_n = 0
+        for _ in range(1000):
+            d = random_degree_function(rng)
+            tr = build_discharge_sequence(d)
+            sum_k += tr.k
+            sum_tk += tr.t[-1]
+            sum_dv += sum(tr.delta_v.values())
+            max_k = max(max_k, tr.k)
+            sum_n += len(d)
+        assert (sum_k, sum_tk, sum_dv, max_k, sum_n) == (16302, 661912, 243068, 36, 21152)
 
 
 class TestDeltaVBound:

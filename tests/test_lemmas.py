@@ -167,6 +167,28 @@ class TestLemma1Corpus:
         r2 = verify_lemma1_on_corpus(seed=9, count=50)
         assert r1.instances == r2.instances and r1.failures == r2.failures
 
+    def test_seed_0_corpus_is_pinned(self):
+        # a drift in the draws from rng would change these
+        import random
+
+        rng = random.Random(0)
+        H, e = plant_642_instance(rng)
+        assert (H.n, e) == (35, 0)
+        assert H.edges == (
+            (0, 1, 2), (0, 3, 4), (0, 5, 6), (0, 7, 8), (0, 9, 10), (0, 11, 12),
+            (0, 13, 14), (0, 15, 16), (0, 17, 18), (1, 19, 20), (1, 21, 22),
+            (1, 23, 24), (1, 25, 26), (1, 27, 28), (1, 29, 30), (2, 31, 32),
+            (4, 6, 21), (6, 8, 16), (8, 18, 32), (9, 19, 34), (13, 20, 27),
+            (13, 22, 30), (19, 25, 31),
+        )
+        sum_n, sum_m, ids = H.n, len(H.edges), {e}
+        for _ in range(999):
+            H, e = plant_642_instance(rng)
+            sum_n += H.n
+            sum_m += len(H.edges)
+            ids.add(e)
+        assert (sum_n, sum_m, ids) == (33475, 19193, {0})
+
 
 class TestOrder11:
     def test_value(self):

@@ -214,8 +214,9 @@ def _fill_derived(trace: DischargeTrace) -> None:
 def verify_discharge_trace(trace: DischargeTrace, d: list[int]) -> tuple[bool, list[str]]:
     """Check every invariant of a trace against the target degree function.
 
-    One pass over f0 and the steps recomputes f_i, its sum and T_i, so a
-    tampered step or a tampered stored t is caught: the stored t is only
+    One pass over f0 and the steps recomputes f_i, its sum, T_i and the
+    derived fields delta, g, h and touched_steps, so a tampered step or a
+    tampered stored field is caught: the stored bookkeeping is only
     compared, never trusted.  Violations are returned as data, not raised,
     grouped by condition in a fixed order.
     """
@@ -232,8 +233,11 @@ def verify_discharge_trace(trace: DischargeTrace, d: list[int]) -> tuple[bool, l
     f = list(f0)
     t = sum(v * v for v in f)
     ts = [t]
+    delta: list[int] = []
+    g: list[int] = []
+    h: list[int] = []
+    touched: dict[int, list[int]] = {}
     step_bad: list[str] = []
-    conservation_bad: list[str] = []
     for i, (x, y) in enumerate(trace.steps):
         if x not in inc:
             step_bad.append(f"condition (3): step {i + 1} gainer {x} not in I")
@@ -245,10 +249,14 @@ def verify_discharge_trace(trace: DischargeTrace, d: list[int]) -> tuple[bool, l
         f[x] += 1
         f[y] -= 1
         # f is read back after both updates, so a step with x == y is a no-op
-        if f[x] + f[y] != fx + fy:
-            conservation_bad.append(f"conservation broken at f_{i + 1}")
-        t += f[x] * f[x] + f[y] * f[y] - fx * fx - fy * fy
+        dt = f[x] * f[x] + f[y] * f[y] - fx * fx - fy * fy
+        t += dt
         ts.append(t)
+        delta.append(dt)
+        g.append(2 * fx + 1)
+        h.append(2 * fy - 1)
+        touched.setdefault(x, []).append(i)
+        touched.setdefault(y, []).append(i)
     if f != list(d):
         bad.append("condition (2): f_k != d")
     if total0 != 5 * n + trace.residue:
@@ -257,12 +265,14 @@ def verify_discharge_trace(trace: DischargeTrace, d: list[int]) -> tuple[bool, l
     for v in range(n):
         if v not in inc and f0[v] != 5:
             bad.append(f"condition (4): v = {v} in D but f0(v) = {f0[v]}")
-    bad += conservation_bad
     if trace.t and trace.t != ts:
         bad.append("stored T_i differ from replay")
-    for i in range(len(ts) - 1):
-        if ts[i + 1] - ts[i] <= 0:
-            bad.append(f"Delta_{i + 1} = {ts[i + 1] - ts[i]} not positive")
+    stored = (trace.delta, trace.g, trace.h, trace.touched_steps)
+    if (trace.t or any(stored)) and stored != (delta, g, h, touched):
+        bad.append("stored Delta_i, g, h or touched steps differ from replay")
+    for i, dt in enumerate(delta):
+        if dt <= 0:
+            bad.append(f"Delta_{i + 1} = {dt} not positive")
     if ts[-1] != sum(x * x for x in d):
         bad.append("T_k != sum of d(v)^2")
     return not bad, bad

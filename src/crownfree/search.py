@@ -1,19 +1,26 @@
 """Isomorph-free exact computation of the crown Turán number for small n.
 
 Generation is strict canonical augmentation (McKay, *Isomorph-free
-exhaustive generation*, J. Algorithms 26, 1998).  Expanding a node H
-runs four steps.  First the candidate additions are listed.  Crown-free
-runs then drop, in one crowns.crown_free_additions call per parent, the
+exhaustive generation*, J. Algorithms 26, 1998).  A child H+e is
+accepted exactly when e lies in the Aut(H+e)-orbit of its deletion edge.
+That edge is chosen by an invariant first, the least sorted
+endpoint-degree triple (the key), and only a tie there is broken by
+canonical labelling (the last canonical image).  Expanding a node H runs
+five steps, cheapest first.  The candidate additions are listed.  Those
+whose key in H+e is not least among its edges are dropped, read off H's
+degrees without building H+e (_least_key_additions).  Crown-free runs
+then drop, in one crowns.crown_free_additions call per parent, the
 candidates that would make a crown through the new edge; the parent is
-crown-free, so that is exactly when the child has a crown.  The
-survivors are cut to one per Aut(H)-orbit, the first in candidate order;
-the crown test is Aut(H)-invariant, so the survivors are a union of
-orbits.  Only then is a child node H+e built, and it is accepted exactly
-when e lies in the Aut(H+e)-orbit of its deletion edge.  That edge is
-chosen by an invariant first, the least sorted endpoint-degree triple,
-and only a tie there is broken by canonical labelling (the last
-canonical image), so most children need no labelling.  Each class is
-then reached exactly once and children need no dedupe.
+crown-free, so that is exactly when the child has a crown.  If at least
+two candidates are left, H is labelled and they are cut to one per
+Aut(H)-orbit, the first in candidate order.  That cut needs the
+candidates to be a union of orbits, and both filters keep one: whether
+e's key is least in H+e, and whether H+e has a crown through e, depend
+only on the isomorphism type of the pair (H, e), which an automorphism
+of H fixes.  Last a child node H+e is built for each candidate left, and
+a tie on its key is broken as above.  Most parents need no labelling and
+most children none either.  Each class is then reached exactly once and
+children need no dedupe.
 Both orbit steps use one representation and one union-find: the
 generators of CanonResult.auts, tuples indexed by label, are turned into
 permutations of the indices of a triple list closed under them (the
@@ -74,8 +81,8 @@ class ExtremalCertificate:
 class _Node:
     """Search node: edges plus cheap derived state.  Everything is fixed
     at construction except canon, which canonical() fills in lazily: when
-    _accept has to break a tie, or when the node is expanded or kept as a
-    witness."""
+    _accept has to break a tie, when two candidates are left to cut to
+    orbits, or when the node is kept as a witness."""
 
     __slots__ = ("edges", "cov", "degs", "canon")
 
@@ -150,26 +157,71 @@ def _orbit_reps(candidates: list[Triple], gens: Sequence[tuple[int, ...]]) -> li
     return [t for i, t in enumerate(candidates) if roots[i] == i]
 
 
+def _least_key_additions(node: _Node, candidates: list[Triple]) -> list[Triple]:
+    """The candidates e whose sorted endpoint-degree triple (the key) in
+    node + e is least among the edges of node + e, ties kept.  Read off the
+    parent's degrees without building node + e, keys packed into ints.
+
+    Adding e raises each key by at most one degree, so an edge f can have a
+    smaller key than e in node + e only if its key in node is already
+    smaller: either f misses e, and e fails, or f meets e in one vertex (e
+    uses free pairs only) and e fails if f's key with that vertex's degree
+    raised by one is still smaller.  Scanning the parent's edges in key
+    order therefore stops at the first key not below e's."""
+    s = (node.cov + 3).bit_length()  # degrees stay below cov + 3
+    d = node.degs + (0, 0, 0)  # the new vertices cov, cov+1, cov+2
+    mid, top = 1 << s, 1 << 2 * s
+    table = []  # (key in node, vertex mask, {vertex bit: key with it raised})
+    for a, b, c in node.edges:
+        da, db, dc = d[a], d[b], d[c]
+        x, y, z = sorted((da, db, dc))
+        fk = (x << s | y) << s | z
+        # raising the last sorted entry equal to a degree keeps the triple
+        # sorted; a later key overwrites an equal earlier one
+        bump = {x: top, y: mid, z: 1}
+        table.append((fk, 1 << a | 1 << b | 1 << c,
+                      {1 << a: fk + bump[da], 1 << b: fk + bump[db], 1 << c: fk + bump[dc]}))
+    table.sort()
+    one = top | mid | 1  # e's key in node + e: each of its degrees plus one
+    out = []
+    for e in candidates:
+        a, b, c = e
+        x, y, z = d[a], d[b], d[c]  # sorted by three compare-swaps
+        if x > y:
+            x, y = y, x
+        if y > z:
+            y, z = z, y
+            if x > y:
+                x, y = y, x
+        k = ((x << s | y) << s | z) + one
+        mask = 1 << a | 1 << b | 1 << c
+        for fk, fmask, raised in table:
+            if fk >= k:
+                out.append(e)
+                break
+            meet = fmask & mask
+            if not meet or raised[meet] < k:
+                break
+        else:
+            out.append(e)
+    return out
+
+
 def _accept(child: _Node, e: Triple) -> bool:
-    """Strict canonical-augmentation test: is e in the Aut(child)-orbit of
-    the child's deletion edge?
+    """Tie-break of the strict canonical-augmentation test, for an e that
+    passed _least_key_additions: is e in the Aut(child)-orbit of the
+    child's deletion edge?
 
     The deletion edge is taken from the edges with the least sorted
-    endpoint-degree triple; if that class has more than one edge, the tie
-    goes to the edge with the last canonical image.  The class and the
+    endpoint-degree triple, e's; if that class has more than one edge, the
+    tie goes to the edge with the last canonical image.  The class and the
     orbit are isomorphism invariants, so the test does not depend on the
     labelling.  Only a tie needs canonical labelling, and then the orbit
     is read from canon._orbit_roots over the child's edges.
     """
     degs = child.degs
     key = sorted((degs[e[0]], degs[e[1]], degs[e[2]]))
-    ties = []
-    for f in child.edges:
-        k = sorted((degs[f[0]], degs[f[1]], degs[f[2]]))
-        if k < key:
-            return False
-        if k == key:
-            ties.append(f)
+    ties = [f for f in child.edges if sorted((degs[f[0]], degs[f[1]], degs[f[2]])) == key]
     if len(ties) == 1:
         return True
     canon = child.canonical()
@@ -183,16 +235,19 @@ def _accept(child: _Node, e: Triple) -> bool:
 def _walk(max_vertices: int, crown_free: bool) -> Iterator[_Node]:
     """The one depth-first traversal: every node, root first, one per
     isomorphism class, each yielded before it is expanded.  Expansion runs
-    the four steps of the module docstring; the crown cut applies only if
-    crown_free.  A child node is built only for an orbit representative."""
+    the steps of the module docstring; the crown cut applies only if
+    crown_free.  A node is labelled for its orbits only if two candidates
+    are left, and a child node is built only for an orbit representative."""
     stack = [_root()]
     while stack:
         node = stack.pop()
         yield node
-        candidates = _candidate_edges(node, max_vertices)
-        if crown_free:
+        candidates = _least_key_additions(node, _candidate_edges(node, max_vertices))
+        if crown_free and candidates:
             candidates = crown_free_additions(node.edges, candidates)
-        for e in _orbit_reps(candidates, node.canonical().auts):
+        if len(candidates) > 1:
+            candidates = _orbit_reps(candidates, node.canonical().auts)
+        for e in candidates:
             child = _extend(node, e)
             if _accept(child, e):
                 stack.append(child)

@@ -282,19 +282,17 @@ class TestHasCrownContaining:
         assert not has_crown_containing(edges, (9, 10, 11))
         assert has_crown_containing(edges, (0, 1, 2))
 
-    def test_every_search_child_to_n9(self, monkeypatch):
-        # every crown decision the search makes, one per candidate
+    def test_every_search_child_to_n9(self):
+        # every candidate of every node of the crown-free walk, not only
+        # the few the search still sends to the crown filter after its
+        # degree test
         decisions = []
-        real = search.crown_free_additions
-
-        def record(edges, candidates):
-            kept = real(edges, candidates)
-            decisions.extend((edges, t, t not in kept) for t in candidates)
-            return kept
-
-        monkeypatch.setattr(search, "crown_free_additions", record)
-        classes = sum(1 for _ in generate_all(9, crown_free_only=True))
-        assert classes == 124
+        nodes = list(search._walk(9, crown_free=True))
+        for node in nodes:
+            candidates = _candidate_edges(node, 9)
+            kept = crown_free_additions(node.edges, candidates)
+            decisions.extend((node.edges, t, t not in kept) for t in candidates)
+        assert len(nodes) == 125  # 124 classes and the empty root
         assert len(decisions) > 500
         hits = 0
         for edges, t, got in decisions:

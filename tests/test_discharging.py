@@ -173,6 +173,23 @@ class TestVerifierNegativeCases:
         assert not ok
         assert bad == ["stored T_i differ from replay"]
 
+    @pytest.mark.parametrize("field", ["delta", "g", "h", "touched_steps"])
+    def test_tampered_stored_derived_field_fails(self, field):
+        # delta_v_bound_check reads delta, h and touched_steps, so the
+        # verifier must not pass a trace whose bound reads tampered values
+        d = [2, 2, 5, 5, 5, 11]
+        tr = build_discharge_sequence(d)
+        assert delta_v_bound_check(tr, 5, 11) == (54, 36, True)
+        if field == "delta":
+            tr.delta = [x - 20 for x in tr.delta]
+        elif field == "touched_steps":
+            tr.touched_steps[5] = tr.touched_steps[5][1:]
+        else:
+            getattr(tr, field)[0] += 1
+        ok, bad = verify_discharge_trace(tr, d)
+        assert not ok
+        assert bad == ["stored Delta_i, g, h or touched steps differ from replay"]
+
 
 class TestAgainstReference:
     """The linear-time builder and bookkeeping against the O(k * n)

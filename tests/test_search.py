@@ -20,7 +20,21 @@ from crownfree import (
 from crownfree.canon import canonical_edges, canonical_form
 from crownfree.lemmas import induced_graph_of_G
 from crownfree.crowns import crown_free_additions
-from crownfree.search import RETRY_BUDGET, _accept, _candidate_edges, _extend, _orbit_reps, _root, generate_all
+from crownfree import search
+from crownfree.search import (
+    RETRY_BUDGET,
+    _accept,
+    _candidate_edges,
+    _extend,
+    _least_key_additions,
+    _Node,
+    _orbit_reps,
+    _root,
+    _walk,
+    generate_all,
+)
+
+from search_reference import reference_walk
 
 
 # Certificates of exact_ex(9) and exact_ex(10): the canonical witnesses,
@@ -193,7 +207,35 @@ class TestOrbitReps:
         assert split > 100
 
 
+def _parent_of(edges, e):
+    """Node of edges without e, on all 9 labels: a relabelled graph need
+    not cover its labels in order."""
+    rest = tuple(f for f in edges if f != e)
+    degs = [0] * 9
+    for f in rest:
+        for v in f:
+            degs[v] += 1
+    return _Node(rest, 9, tuple(degs))
+
+
 class TestDeletionEdge:
+    def test_least_key_filter_equals_child_keys_to_n9(self):
+        # _least_key_additions reads the child's least key off the parent;
+        # build every child and compare with its own degrees
+        nodes = [_root()] + [_node_of(H.edges) for H in generate_all(9)]
+        dropped = 0
+        for node in nodes:
+            cands = _candidate_edges(node, 9)
+            expect = []
+            for e in cands:
+                degs = _extend(node, e).degs
+                keys = {f: sorted(degs[v] for v in f) for f in node.edges + (e,)}
+                if keys[e] == min(keys.values()):
+                    expect.append(e)
+            assert _least_key_additions(node, cands) == expect, node.edges
+            dropped += len(cands) - len(expect)
+        assert dropped > 500
+
     def test_accepted_edges_are_the_deletion_orbit_in_any_labelling(self):
         # For each class and two relabellings of it, _accept must take
         # exactly the Aut-orbit of the documented deletion edge: least
@@ -213,7 +255,8 @@ class TestDeletionEdge:
             images = []
             for edges in versions:
                 child = _node_of(edges)
-                accepted = {e for e in edges if _accept(child, e)}
+                accepted = {e for e in edges
+                            if _least_key_additions(_parent_of(edges, e), [e]) and _accept(child, e)}
                 canon = canonical_edges(9, edges)
                 deg = {}
                 for e in edges:
@@ -229,6 +272,16 @@ class TestDeletionEdge:
                 ))
             assert images[0] == images[1] == images[2], H.edges
         assert split == 3 * 13
+
+
+class TestReferenceWalk:
+    @pytest.mark.parametrize("crown_free,maxn", [(True, 10), (False, 8)])
+    def test_same_nodes_in_same_order(self, crown_free, maxn):
+        # the walk that tests the degrees on the parent first must yield
+        # what the plain order of search_reference yields, node for node
+        for n in range(3, maxn + 1):
+            got = [node.edges for node in _walk(n, crown_free)]
+            assert got == [node.edges for node in reference_walk(n, crown_free)], n
 
 
 class TestExactEx:
@@ -313,6 +366,20 @@ class TestExactEx:
         cert = exact_ex(11)
         assert (cert.value, cert.exhaustive, len(cert.witnesses)) == (13, True, 2)
         assert canonical_form(induced_graph_of_G()).edges in cert.witnesses
+
+    def test_n11_canon_calls_pinned(self, monkeypatch):
+        # A parent is labelled only when two candidates pass its degree and
+        # crown tests (2,164 calls when every parent was labelled).
+        calls = []
+        real = search.canonical_edges
+
+        def counting(n, edges):
+            calls.append(n)
+            return real(n, edges)
+
+        monkeypatch.setattr(search, "canonical_edges", counting)
+        cert = exact_ex(11)
+        assert (cert.nodes_explored, len(calls)) == (1794, 1266)
 
     def test_thread_determinism(self):
         c1 = exact_ex(9, threads=1)

@@ -119,21 +119,24 @@ def link_graph(H: LinearThreeGraph, e: int) -> ColoredLinkGraph:
     return ColoredLinkGraph(base, verts, tuple(colored))
 
 
-def _rainbow(ca: list, cb: list, cc: list) -> tuple | None:
-    """First triple (ea, eb, ec) in product order of the three lists whose
-    pairs are pairwise disjoint; each entry is (u, v, tag), only u and v
-    are compared.  Lexicographically least when the lists are sorted."""
-    masks_b = [(1 << u) | (1 << v) for u, v, _ in cb]
-    masks_c = [(1 << u) | (1 << v) for u, v, _ in cc]
-    for ea in ca:
-        ma = (1 << ea[0]) | (1 << ea[1])
-        for eb, mb in zip(cb, masks_b):
-            if mb & ma:
+def _pair_masks(pairs) -> list[int]:
+    """Bitmask of each entry's first two items, the pair it stands for."""
+    return [(1 << p[0]) | (1 << p[1]) for p in pairs]
+
+
+def _disjoint_triple(la: list[int], lb: list[int], lc: list[int]) -> tuple[int, int, int] | None:
+    """First index triple (i, j, k) in product order for which the masks
+    la[i], lb[j] and lc[k] are pairwise disjoint, or None.  Every crown
+    test asks this of the masks of three colour classes."""
+    for ma in la:
+        for mb in lb:
+            if ma & mb:
                 continue
             mab = ma | mb
-            for ec, mc in zip(cc, masks_c):
+            for mc in lc:
                 if not mc & mab:
-                    return ea, eb, ec
+                    # an equal mask earlier in a list would have hit first
+                    return la.index(ma), lb.index(mb), lc.index(mc)
     return None
 
 
@@ -145,16 +148,22 @@ def find_rainbow_matching(
     Exhaustive over the triple product of color classes (class sizes are
     bounded by max degree - 1, so this is cheap).
     """
-    return _rainbow(*(sorted(e for e in G.colored_edges if e[2] == x) for x in G.base))
+    classes = [sorted(e for e in G.colored_edges if e[2] == x) for x in G.base]
+    hit = _disjoint_triple(*map(_pair_masks, classes))
+    return None if hit is None else tuple(cls[i] for cls, i in zip(classes, hit))
 
 
 def find_crown_with_base(H: LinearThreeGraph, e: int) -> CrownWitness | None:
     """Crown witness with base e iff G(e) has a rainbow matching: the
-    lexicographically least one, jewels in the order of e's vertices."""
-    rm = _rainbow(*(sorted(cls) for cls in _link_classes(H, e)))
-    if rm is None:
+    lexicographically least one, jewels in the order of e's vertices.
+
+    The edges through one vertex of a linear graph meet nowhere else, so
+    in the sorted edge list each link class is already in (y, z) order."""
+    classes = _link_classes(H, e)
+    hit = _disjoint_triple(*map(_pair_masks, classes))
+    if hit is None:
         return None
-    w = CrownWitness(e, (rm[0][2], rm[1][2], rm[2][2]))
+    w = CrownWitness(e, tuple(cls[i][2] for cls, i in zip(classes, hit)))
     w.validate(H)
     return w
 
@@ -200,23 +209,9 @@ def crown_free_additions(edges: Sequence[Triple], candidates: Sequence[Triple]) 
             if not u & tm:
                 break  # t is a jewel
         else:
-            if not _disjoint_triple(at[a], at[b], at[c]):  # t is no base
+            if _disjoint_triple(at[a], at[b], at[c]) is None:  # t is no base
                 out.append(t)
     return out
-
-
-def _disjoint_triple(at_a: list[int], at_b: list[int], at_c: list[int]) -> bool:
-    """True iff some masks from the three lists, one from each, are
-    pairwise disjoint."""
-    for ma in at_a:
-        for mb in at_b:
-            if ma & mb:
-                continue
-            mab = ma | mb
-            for mc in at_c:
-                if not mc & mab:
-                    return True
-    return False
 
 
 def find_crown(H: LinearThreeGraph) -> CrownWitness | None:

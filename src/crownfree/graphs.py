@@ -134,35 +134,21 @@ def validate_linear(triples: Iterable[Sequence[int]], n: int) -> LinearThreeGrap
 
     Raises LinearityError naming the first offending triple or pair of
     edges: out-of-range index, repeated vertex within a triple, duplicate
-    edge, or two edges sharing two vertices.  Input that is already a list
-    of increasing in-range int tuples with no shared pair takes a fast
-    path; anything else goes through the full checks, which name the fault.
+    edge, or two edges sharing two vertices.  One loop reads the triples
+    once (a generator is not copied to a list) and checks and orders each;
+    an increasing in-range int tuple takes a cheap branch.  After one sort
+    of the edge list, one pass over a set of pair keys finds the first
+    duplicate or shared pair, and only then builds its message.
     """
     if n < 1:
         raise LinearityError("vertex set must be non-empty (n >= 1)")
-    if not isinstance(triples, (list, tuple)):
-        triples = list(triples)
-    fast: list[Triple] = []
-    seen: set[int] = set()  # pair x < y keyed as x*n + y
-    for t in triples:
-        if type(t) is not tuple or len(t) != 3:
-            break
-        a, b, c = t
-        if not (type(a) is int and type(b) is int and type(c) is int and 0 <= a < b < c < n):
-            break
-        an = a * n
-        p, q, r = an + b, an + c, b * n + c
-        if p in seen or q in seen or r in seen:
-            break
-        seen.add(p)
-        seen.add(q)
-        seen.add(r)
-        fast.append(t)
-    else:
-        fast.sort()
-        return LinearThreeGraph(n, tuple(fast))
     norm: list[Triple] = []
     for t in triples:
+        if type(t) is tuple and len(t) == 3:
+            a, b, c = t
+            if type(a) is int and type(b) is int and type(c) is int and 0 <= a < b < c < n:
+                norm.append(t)
+                continue
         t = list(t)
         if len(t) != 3:
             raise LinearityError(f"edge {t} does not have 3 vertices")
@@ -182,20 +168,23 @@ def validate_linear(triples: Iterable[Sequence[int]], n: int) -> LinearThreeGrap
                 a, b = b, a
         norm.append((a, b, c))
     norm.sort()
-    pair_seen: dict[int, int] = {}  # pair x < y keyed as x*n + y -> first edge
-    prev = None
+    seen: set[int] = set()  # pair x < y keyed as x*n + y
     for i, e in enumerate(norm):
-        if e == prev:
-            raise LinearityError(f"duplicate edge {list(e)}")
-        prev = e
         a, b, c = e
         an = a * n
-        for p in (an + b, an + c, b * n + c):
-            j = pair_seen.setdefault(p, i)
-            if j != i:
-                raise LinearityError(
-                    f"edges #{j} {list(norm[j])} and #{i} {list(e)} share pair {set(divmod(p, n))}"
-                )
+        p, q, r = an + b, an + c, b * n + c
+        if p in seen or q in seen or r in seen:
+            if e == norm[i - 1]:
+                raise LinearityError(f"duplicate edge {list(e)}")
+            k = p if p in seen else q if q in seen else r
+            j = next(j for j, (x, y, z) in enumerate(norm)
+                     if k in (x * n + y, x * n + z, y * n + z))
+            raise LinearityError(
+                f"edges #{j} {list(norm[j])} and #{i} {list(e)} share pair {set(divmod(k, n))}"
+            )
+        seen.add(p)
+        seen.add(q)
+        seen.add(r)
     return LinearThreeGraph(n, tuple(norm))
 
 

@@ -13,6 +13,8 @@ from .canon import canonical_edges
 from .crowns import (
     ColoredLinkGraph,
     CrownWitness,
+    _disjoint_triple,
+    _pair_masks,
     crown_oracle,
     find_crown,
     find_crown_with_base,
@@ -206,20 +208,13 @@ def enumerate_555_link_graphs() -> list[tuple]:
         colored_ab = [(u, w, 0) for u, w in first] + [(u, w, 1) for u, w in b_class]
         two_color_reps.setdefault(_two_colour_key(colored_ab), (b_class, n_after_b))
 
+    masks_a = _pair_masks(first)
     results: set[tuple] = set()
     for b_class, n_after_b in two_color_reps.values():
         pairs_ab = pairs_a | set(b_class)
 
-        def veto(pr, _b=b_class):
-            s = set(pr)
-            for ea in first:
-                if s & set(ea):
-                    continue
-                sa = s | set(ea)
-                for eb in _b:
-                    if not (sa & set(eb)):
-                        return True
-            return False
+        def veto(pr, _mb=_pair_masks(b_class)):
+            return _disjoint_triple(_pair_masks([pr]), masks_a, _mb) is not None
 
         for c_class, _ in _matchings4(pairs_ab, n_after_b, rainbow_veto=veto):
             colored = (

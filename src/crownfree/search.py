@@ -293,8 +293,11 @@ def exact_ex(
     A NaN or negative budget is a ValueError.  Both budgets are checked
     before each node is taken, and a stop returns exhaustive=False.
     max_seconds can therefore be overrun by the expansion of one node (its
-    candidates' crown checks and canonical tests) plus the witness recheck
-    after the search.
+    candidates' crown checks and canonical tests).  The budget does not
+    cover labelling the lower-bound gadget before the search, nor the
+    crown_oracle recheck of up to WITNESS_CAP witnesses after it, which
+    grows like m^4 in a witness's edge count m and dominates a stopped
+    run at large n.
     """
     if n < 3:
         raise ValueError("need n >= 3")

@@ -16,7 +16,7 @@ from crownfree import (
     validate_linear,
 )
 from crownfree import search
-from crownfree.crowns import ColoredLinkGraph, CrownWitness
+from crownfree.crowns import ColoredLinkGraph, CrownWitness, _disjoint_triple
 from crownfree.graphs import LinearThreeGraph
 from crownfree.lemmas import plant_642_instance
 from crownfree.search import _candidate_edges, _extend, _root, generate_all, random_linear_graph
@@ -61,6 +61,16 @@ class TestLinkGraph:
     def test_dot_output(self, crown):
         dot = link_graph(crown, crown.edges.index((0, 1, 2))).to_dot()
         assert dot.startswith("graph link {") and '"A"' in dot
+
+
+def test_disjoint_triple_returns_first_index_triple():
+    # masks of the pairs {0,1}, {2,3}, {1,2}, {4,5}, {3,6}, {0,4}
+    p01, p23, p12, p45, p36, p04 = 0b11, 0b1100, 0b110, 0b110000, 0b1001000, 0b10001
+    # (0, 0, k) is blocked by {0,1} and {1,2}, and (0, 1, 0) by {0,4};
+    # (0, 1, 1) comes first in product order, though (0, 1, 2) is disjoint too
+    assert _disjoint_triple([p01, p23], [p12, p45], [p04, p23, p36]) == (0, 1, 1)
+    assert _disjoint_triple([p01], [p12, p04], [p23]) is None
+    assert _disjoint_triple([p01], [], [p23]) is None
 
 
 class TestRainbowMatching:

@@ -71,7 +71,7 @@ class TestValidateMessages:
         # the pair prints as a set, in the set's own order
         ([(0, 3, 4), (1, 2, 8), (9, 8, 7), (8, 7, 10)], 11,
          "edges #2 [7, 8, 9] and #3 [7, 8, 10] share pair {8, 7}"),
-        # sorted tuples that the fast path must hand to the full checks
+        # sorted tuples that the cheap branch must hand to the full checks
         ([(False, 1, 2)], 3, "edge [False, 1, 2] has a non-integer vertex"),
         ([(0, 1, 5)], 5, "edge [0, 1, 5]: vertex 5 out of range [0, 5)"),
         ([(0, 1, 2), (0, 1, 2)], 3, "duplicate edge [0, 1, 2]"),
@@ -80,17 +80,19 @@ class TestValidateMessages:
          "edges #0 [0, 1, 2] and #1 [0, 1, 5] share pair {0, 1}"),
     ])
     def test_message(self, triples, n, message):
-        with pytest.raises(LinearityError) as info:
-            validate_linear(triples, n)
-        assert str(info.value) == message
+        # the list, then a generator, which validate_linear reads once
+        for given in (triples, (t for t in triples)):
+            with pytest.raises(LinearityError) as info:
+                validate_linear(given, n)
+            assert str(info.value) == message
 
     def test_generator_triples_accepted(self):
         g = validate_linear([(x for x in (2, 0, 1)), iter([3, 4, 0])], 5)
         assert g.edges == ((0, 1, 2), (0, 3, 4))
 
     def test_generator_of_triples_falls_back_intact(self):
-        # the fast path stops at the unsorted third triple; the full checks
-        # must still see the triples it already read
+        # the triples are read once: the cheap branch takes the first two
+        # and the full checks normalise the unsorted third
         g = validate_linear((t for t in [(0, 1, 2), (0, 3, 4), (6, 5, 1)]), 7)
         assert g.edges == ((0, 1, 2), (0, 3, 4), (1, 5, 6))
 

@@ -221,7 +221,8 @@ def run(argv: list[str]) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:  # LinearityError is a ValueError
+    # LinearityError is a ValueError; an n too large to index a list is an OverflowError
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -4,18 +4,19 @@ For an edge with degree vector (x, y, z): s = x + y + z, and s* clamps s
 to 15 when x >= 9.  T* sums s* over all edges.  The redistribution builds
 a sequence f_0..f_k of integer functions from a near-uniform start (values
 in {5, 6, 7}) down to the true degree function by unit transfers, with an
-increase-only / decrease-only vertex partition, and exposes the quadratic
-bookkeeping (T_i, Delta_i, g, h, Delta_v) needed by the two inequality
-checks.  Building, verifying and bookkeeping a trace of k steps on n
-vertices costs O(n + k): one running f is updated per step, and the
-intermediate functions f_0..f_k are listed only by DischargeTrace.replay().
+increase-only / decrease-only vertex partition.  A trace stores only f_0,
+the steps and the partition; the quadratic bookkeeping (T_i, Delta_i, g,
+h, Delta_v) needed by the two inequality checks is replayed from them in
+one pass over one running f, so building, verifying and bookkeeping a
+trace of k steps on n vertices costs O(n + k).
 All arithmetic is exact; no floats anywhere in this module.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .graphs import LinearThreeGraph
 
@@ -65,50 +66,87 @@ class DegreePreconditionError(ValueError):
 
 @dataclass
 class DischargeTrace:
-    """The f_0..f_k unit-transfer sequence with all derived bookkeeping.
+    """The f_0..f_k unit-transfer sequence.
 
     steps[i] = (x, y): vertex x gains one unit, vertex y loses one, at step
     i+1.  increase_set holds the vertices never decreased; everything else
-    is decrease-only.  t[i] is the sum of f_i(v)^2; delta[i] = t[i+1] - t[i];
-    g/h split each delta into the gainer and loser contributions.
+    is decrease-only.  The quadratic bookkeeping is not stored: it is
+    replayed from these three fields whenever it is read.
     """
 
     f0: list[int]
     steps: list[tuple[int, int]]
     increase_set: set[int]
-    residue: int
-    t: list[int] = field(default_factory=list)
-    delta: list[int] = field(default_factory=list)
-    g: list[int] = field(default_factory=list)
-    h: list[int] = field(default_factory=list)
-    touched_steps: dict[int, list[int]] = field(default_factory=dict)
-    delta_v: dict[int, int] = field(default_factory=dict)
 
     @property
     def k(self) -> int:
         return len(self.steps)
 
-    def replay(self) -> list[list[int]]:
-        """All intermediate functions f_0..f_k."""
-        fs = [list(self.f0)]
-        cur = list(self.f0)
-        for x, y in self.steps:
-            cur = list(cur)
-            cur[x] += 1
-            cur[y] -= 1
-            fs.append(cur)
-        return fs
+    @property
+    def residue(self) -> int:
+        """l in sum f0 = 5n + l."""
+        return sum(self.f0) - 5 * len(self.f0)
 
     def to_json_obj(self) -> dict:
+        book = _bookkeeping(self)
         return {
             "f0": list(self.f0),
             "steps": [list(st) for st in self.steps],
             "partition": ["I" if v in self.increase_set else "D" for v in range(len(self.f0))],
             "residue": self.residue,
-            "t": list(self.t),
-            "delta": list(self.delta),
-            "delta_v": {str(v): dv for v, dv in sorted(self.delta_v.items())},
+            "t": book.t,
+            "delta": book.delta,
+            "delta_v": {str(v): dv for v, dv in sorted(book.delta_v.items())},
         }
+
+
+class _Bookkeeping(NamedTuple):
+    """t[i] is the sum of f_i(v)^2 and delta[i] = t[i+1] - t[i]; g[i] =
+    2 f_i(x) + 1 and h[i] = 2 f_i(y) - 1 for step i+1 = (x, y);
+    touched_steps[v] lists the steps at v, delta_v[v] sums their delta;
+    fk is the final function."""
+
+    t: list[int]
+    delta: list[int]
+    g: list[int]
+    h: list[int]
+    touched_steps: dict[int, list[int]]
+    delta_v: dict[int, int]
+    fk: list[int]
+
+
+def _bookkeeping(trace: DischargeTrace) -> _Bookkeeping:
+    """Replay the steps of a trace once, with one running f.
+
+    Raises ValueError on a step vertex outside 0..n-1, n = len(f0).
+    """
+    f = list(trace.f0)
+    n = len(f)
+    t = sum(v * v for v in f)
+    ts = [t]
+    delta: list[int] = []
+    g: list[int] = []
+    h: list[int] = []
+    touched: dict[int, list[int]] = {}
+    delta_v: dict[int, int] = {}
+    for i, (x, y) in enumerate(trace.steps):
+        if not (0 <= x < n and 0 <= y < n):
+            raise ValueError(f"step {i + 1} = ({x}, {y}) has a vertex outside 0..{n - 1}")
+        fx, fy = f[x], f[y]
+        f[x] += 1
+        f[y] -= 1
+        # f is read back after both updates, so a step with x == y is a no-op
+        dt = f[x] * f[x] + f[y] * f[y] - fx * fx - fy * fy
+        t += dt
+        ts.append(t)
+        delta.append(dt)
+        g.append(2 * fx + 1)
+        h.append(2 * fy - 1)
+        touched.setdefault(x, []).append(i)
+        touched.setdefault(y, []).append(i)
+        delta_v[x] = delta_v.get(x, 0) + dt
+        delta_v[y] = delta_v.get(y, 0) + dt
+    return _Bookkeeping(ts, delta, g, h, touched, delta_v, f)
 
 
 def _check_preconditions(d: list[int]) -> int:
@@ -175,50 +213,15 @@ def build_discharge_sequence(d: list[int]) -> DischargeTrace:
         f[loser] -= 1
 
     decreased = {y for _, y in steps}
-    trace = DischargeTrace(
-        f0=f0,
-        steps=steps,
-        increase_set=set(range(n)) - decreased,
-        residue=l,
-    )
-    _fill_derived(trace)
-    return trace
-
-
-def _fill_derived(trace: DischargeTrace) -> None:
-    """T_i, Delta_i, g, h, the steps touching each vertex and Delta_v, from
-    one running f: a step moving a unit to x from y adds g = 2f(x) + 1 and
-    removes h = 2f(y) - 1, so T_{i+1} = T_i + g_i - h_i."""
-    f = list(trace.f0)
-    t = sum(v * v for v in f)
-    trace.t = ts = [t]
-    trace.delta = delta = []
-    trace.g = g = []
-    trace.h = h = []
-    trace.touched_steps = touched = {}
-    for i, (x, y) in enumerate(trace.steps):
-        gi = 2 * f[x] + 1
-        hi = 2 * f[y] - 1
-        f[x] += 1
-        f[y] -= 1
-        t += gi - hi
-        ts.append(t)
-        delta.append(gi - hi)
-        g.append(gi)
-        h.append(hi)
-        touched.setdefault(x, []).append(i)
-        touched.setdefault(y, []).append(i)
-    trace.delta_v = {v: sum(delta[i] for i in idxs) for v, idxs in touched.items()}
+    return DischargeTrace(f0=f0, steps=steps, increase_set=set(range(n)) - decreased)
 
 
 def verify_discharge_trace(trace: DischargeTrace, d: list[int]) -> tuple[bool, list[str]]:
     """Check every invariant of a trace against the target degree function.
 
-    One pass over f0 and the steps recomputes f_i, its sum, T_i and the
-    derived fields delta, g, h and touched_steps, so a tampered step or a
-    tampered stored field is caught: the stored bookkeeping is only
-    compared, never trusted.  Violations are returned as data, not raised,
-    grouped by condition in a fixed order.
+    The bookkeeping is replayed once from f0 and the steps; it is held to
+    d independently by f_k = d and T_k = sum of d(v)^2.  Violations are
+    returned as data, not raised, grouped by condition in a fixed order.
     """
     bad: list[str] = []
     n = len(d)
@@ -228,52 +231,31 @@ def verify_discharge_trace(trace: DischargeTrace, d: list[int]) -> tuple[bool, l
     for v, x in enumerate(f0):
         if not (5 <= x <= 7):
             bad.append(f"condition (1): f0({v}) = {x} not in [5, 7]")
+    try:
+        book = _bookkeeping(trace)
+    except ValueError as exc:
+        return False, bad + [str(exc)]
+    if book.fk != list(d):
+        bad.append("condition (2): f_k != d")
+    if trace.residue not in (0, 1, 2):
+        bad.append(f"sum f0 = {sum(f0)} != 5n + l with l in {{0,1,2}} (n={n})")
     inc = trace.increase_set
-    total0 = sum(f0)
-    f = list(f0)
-    t = sum(v * v for v in f)
-    ts = [t]
-    delta: list[int] = []
-    g: list[int] = []
-    h: list[int] = []
-    touched: dict[int, list[int]] = {}
-    step_bad: list[str] = []
     for i, (x, y) in enumerate(trace.steps):
         if x not in inc:
-            step_bad.append(f"condition (3): step {i + 1} gainer {x} not in I")
+            bad.append(f"condition (3): step {i + 1} gainer {x} not in I")
         if y in inc:
-            step_bad.append(f"condition (3): step {i + 1} loser {y} not in D")
-        fx, fy = f[x], f[y]
+            bad.append(f"condition (3): step {i + 1} loser {y} not in D")
+        # g = 2 f(x) + 1 and h = 2 f(y) - 1 give back f_i at the step
+        fx, fy = (book.g[i] - 1) // 2, (book.h[i] + 1) // 2
         if fx < fy:
-            step_bad.append(f"condition (3): step {i + 1} has f(x) = {fx} < f(y) = {fy}")
-        f[x] += 1
-        f[y] -= 1
-        # f is read back after both updates, so a step with x == y is a no-op
-        dt = f[x] * f[x] + f[y] * f[y] - fx * fx - fy * fy
-        t += dt
-        ts.append(t)
-        delta.append(dt)
-        g.append(2 * fx + 1)
-        h.append(2 * fy - 1)
-        touched.setdefault(x, []).append(i)
-        touched.setdefault(y, []).append(i)
-    if f != list(d):
-        bad.append("condition (2): f_k != d")
-    if total0 != 5 * n + trace.residue:
-        bad.append(f"sum f0 = {total0} != 5n + l = {5 * n + trace.residue}")
-    bad += step_bad
+            bad.append(f"condition (3): step {i + 1} has f(x) = {fx} < f(y) = {fy}")
     for v in range(n):
         if v not in inc and f0[v] != 5:
             bad.append(f"condition (4): v = {v} in D but f0(v) = {f0[v]}")
-    if trace.t and trace.t != ts:
-        bad.append("stored T_i differ from replay")
-    stored = (trace.delta, trace.g, trace.h, trace.touched_steps)
-    if (trace.t or any(stored)) and stored != (delta, g, h, touched):
-        bad.append("stored Delta_i, g, h or touched steps differ from replay")
-    for i, dt in enumerate(delta):
+    for i, dt in enumerate(book.delta):
         if dt <= 0:
             bad.append(f"Delta_{i + 1} = {dt} not positive")
-    if ts[-1] != sum(x * x for x in d):
+    if book.t[-1] != sum(x * x for x in d):
         bad.append("T_k != sum of d(v)^2")
     return not bad, bad
 
@@ -285,14 +267,15 @@ def delta_v_bound_check(trace: DischargeTrace, v: int, m: int) -> tuple[int, int
     """
     if m < 9:
         raise ValueError(f"vertex degree m = {m} must be >= 9")
-    fk = trace.f0[v] + sum((x == v) - (y == v) for x, y in trace.steps)
-    if fk != m:
-        raise ValueError(f"trace ends with f_k({v}) = {fk}, not m = {m}")
-    idxs = trace.touched_steps.get(v, [])
-    for i in idxs:
-        if trace.h[i] > 9:
-            raise AssertionError(f"h({i + 1}) = {trace.h[i]} > 9 on a step touching {v}")
-    dv = sum(trace.delta[i] for i in idxs)
+    if not 0 <= v < len(trace.f0):
+        raise ValueError(f"vertex {v} outside 0..{len(trace.f0) - 1}")
+    book = _bookkeeping(trace)
+    if book.fk[v] != m:
+        raise ValueError(f"trace ends with f_k({v}) = {book.fk[v]}, not m = {m}")
+    for i in book.touched_steps.get(v, []):
+        if book.h[i] > 9:
+            raise AssertionError(f"h({i + 1}) = {book.h[i]} > 9 on a step touching {v}")
+    dv = book.delta_v.get(v, 0)
     bound = m * m - 9 * m + 14
     return dv, bound, dv >= bound
 

@@ -5,7 +5,7 @@ order for the lowest vertex with f > d and the highest with f < d, and the
 bookkeeping is read off the full list f_0..f_k of intermediate functions.
 It costs O(k * n) where the library costs O(n + k), and it shares no code
 with the library, so the tests hold `build_discharge_sequence`,
-`delta_v_bound_check` and the trace's derived fields to it.
+`delta_v_bound_check` and the library's one-pass bookkeeping to it.
 """
 
 from __future__ import annotations

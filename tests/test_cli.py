@@ -257,6 +257,14 @@ class TestDischarge:
         ]
         assert any(x["s"] != x["s_star"] for x in obj["edges"])
 
+    def test_n_too_large_for_a_degree_list(self, tmp_path, capsys):
+        p = tmp_path / "g.json"
+        p.write_text(json.dumps({"n": 10**30, "edges": []}))
+        assert run(["check", str(p)]) == 0
+        capsys.readouterr()
+        assert run(["discharge", str(p)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestLemmas:
     def test_order11_text(self, capsys):

@@ -16,11 +16,11 @@ from crownfree import (
     validate_linear,
     verify_discharge_trace,
 )
-from crownfree.discharging import DegreePreconditionError
+from crownfree.discharging import DegreePreconditionError, DischargeTrace, _bookkeeping
 from crownfree.lemmas import random_degree_function
 
 from conftest import spoke_wheel
-from discharge_reference import reference_delta_v_bound, reference_trace
+from discharge_reference import reference_delta_v_bound, reference_trace, replay
 
 
 def star_graph(k):
@@ -94,8 +94,9 @@ class TestBuilder:
         d = [2, 2, 5, 5, 5, 11]
         tr = build_discharge_sequence(d)
         assert tr.k == 6
-        assert tr.t[0] == 150 and tr.t[-1] == 204
-        assert tr.delta_v[5] == 54
+        book = _bookkeeping(tr)
+        assert book.t[0] == 150 and book.t[-1] == 204
+        assert book.delta_v[5] == 54
         ok, bad = verify_discharge_trace(tr, d)
         assert ok, bad
 
@@ -133,9 +134,18 @@ class TestBuilder:
             d = random_degree_function(rng)
             tr = build_discharge_sequence(d)
             total = 5 * len(d) + tr.residue
-            for fi in tr.replay():
+            for fi in replay(tr.f0, tr.steps):
                 assert sum(fi) == total
-            assert all(x > 0 for x in tr.delta)
+            assert all(x > 0 for x in _bookkeeping(tr).delta)
+
+    def test_hand_built_trace_matches_builder(self):
+        d = [2, 2, 5, 5, 5, 11]
+        built = build_discharge_sequence(d)
+        tr = DischargeTrace(list(built.f0), list(built.steps), set(built.increase_set))
+        assert tr.to_json_obj() == built.to_json_obj()
+        assert _bookkeeping(tr) == _bookkeeping(built)
+        assert verify_discharge_trace(tr, d) == (True, [])
+        assert delta_v_bound_check(tr, 5, 11) == (54, 36, True)
 
 
 class TestVerifierNegativeCases:
@@ -162,33 +172,23 @@ class TestVerifierNegativeCases:
         tr.steps[mid] = (tr.steps[mid][1], tr.steps[mid][0])
         ok, bad = verify_discharge_trace(tr, d)
         assert not ok
-        assert "stored T_i differ from replay" in bad
         assert f"condition (3): step {mid + 1} gainer {tr.steps[mid][0]} not in I" in bad
 
-    def test_tampered_stored_t_fails(self):
-        d = [2, 2, 5, 5, 5, 11]
-        tr = build_discharge_sequence(d)
-        tr.t[3] += 1
-        ok, bad = verify_discharge_trace(tr, d)
+    def test_residue_outside_0_to_2_fails(self):
+        tr = DischargeTrace([6, 6, 6], [], {0, 1, 2})
+        assert tr.residue == 3
+        ok, bad = verify_discharge_trace(tr, [6, 6, 6])
         assert not ok
-        assert bad == ["stored T_i differ from replay"]
+        assert bad == ["sum f0 = 18 != 5n + l with l in {0,1,2} (n=3)"]
 
-    @pytest.mark.parametrize("field", ["delta", "g", "h", "touched_steps"])
-    def test_tampered_stored_derived_field_fails(self, field):
-        # delta_v_bound_check reads delta, h and touched_steps, so the
-        # verifier must not pass a trace whose bound reads tampered values
+    @pytest.mark.parametrize("step", [(99, 0), (5, -6)])
+    def test_step_vertex_out_of_range_is_a_violation(self, step):
         d = [2, 2, 5, 5, 5, 11]
         tr = build_discharge_sequence(d)
-        assert delta_v_bound_check(tr, 5, 11) == (54, 36, True)
-        if field == "delta":
-            tr.delta = [x - 20 for x in tr.delta]
-        elif field == "touched_steps":
-            tr.touched_steps[5] = tr.touched_steps[5][1:]
-        else:
-            getattr(tr, field)[0] += 1
+        tr.steps[2] = step
         ok, bad = verify_discharge_trace(tr, d)
         assert not ok
-        assert bad == ["stored Delta_i, g, h or touched steps differ from replay"]
+        assert bad == [f"step 3 = {step} has a vertex outside 0..5"]
 
 
 class TestAgainstReference:
@@ -201,8 +201,9 @@ class TestAgainstReference:
             d = random_degree_function(rng)
             ref = reference_trace(d)
             tr = build_discharge_sequence(d)
+            book = _bookkeeping(tr)
             for name, want in ref.items():
-                assert getattr(tr, name) == want, (d, name)
+                assert getattr(book if name in book._fields else tr, name) == want, (d, name)
             for v, m in enumerate(d):
                 if m >= 9:
                     assert delta_v_bound_check(tr, v, m) == reference_delta_v_bound(ref, v, m)
@@ -214,8 +215,9 @@ class TestAgainstReference:
             d = random_degree_function(rng)
             tr = build_discharge_sequence(d)
             sum_k += tr.k
-            sum_tk += tr.t[-1]
-            sum_dv += sum(tr.delta_v.values())
+            book = _bookkeeping(tr)
+            sum_tk += book.t[-1]
+            sum_dv += sum(book.delta_v.values())
             max_k = max(max_k, tr.k)
             sum_n += len(d)
         assert (sum_k, sum_tk, sum_dv, max_k, sum_n) == (16302, 661912, 243068, 36, 21152)
@@ -237,13 +239,20 @@ class TestDeltaVBound:
         tr = build_discharge_sequence(d)
         got, bound, ok = delta_v_bound_check(tr, 6, 9)
         assert bound == 14 and ok
-        for i in tr.touched_steps[6]:
-            assert tr.h[i] <= 9
+        book = _bookkeeping(tr)
+        for i in book.touched_steps[6]:
+            assert book.h[i] <= 9
 
     def test_small_degree_rejected(self):
         tr = build_discharge_sequence([4, 5, 7])
         with pytest.raises(ValueError, match=">= 9"):
             delta_v_bound_check(tr, 2, 7)
+
+    @pytest.mark.parametrize("v", [99, -1])
+    def test_vertex_out_of_range_rejected(self, v):
+        tr = build_discharge_sequence([2, 2, 5, 5, 5, 11])
+        with pytest.raises(ValueError, match="outside 0..5"):
+            delta_v_bound_check(tr, v, 11)
 
 
 class TestStarDeficit:

@@ -73,16 +73,11 @@ def canonical_form(H: LinearThreeGraph) -> CanonResult:
     return canonical_edges(H.n, H.edges)
 
 
-def _orbit_roots(k: int, gens: Sequence[Sequence[int]], root: list[int] | None = None) -> list[int]:
+def _orbit_roots(k: int, gens: Sequence[Sequence[int]]) -> list[int]:
     """Orbit representative of each of 0..k-1 under the group of gens,
     each a permutation of 0..k-1 as a sequence; the representative is the
-    least point of the orbit.
-
-    root, when given, is a union-find parent array from earlier calls,
-    extended in place by gens: the result is then the orbits under those
-    calls' generators and gens together."""
-    if root is None:
-        root = list(range(k))
+    least point of the orbit."""
+    root = list(range(k))
 
     def find(x: int) -> int:
         while root[x] != x:
@@ -209,18 +204,14 @@ def canonical_edges(n: int, edges: Sequence[Triple]) -> CanonResult:
         e = end[s]
         target = lab[s:e]
         explored: list[int] = []
-        # orbits under the generators that fix prefix, one union-find per
-        # node grown as gens grows: gens[:ngens] are joined into parent,
-        # and roots, the identity until then, is its latest find
-        parent = list(range(k))
-        roots = parent
+        # orbits under the generators that fix prefix, recomputed whenever
+        # gens has grown; the identity until the first generator
+        roots = list(range(k))
         ngens = 0
         for v in target:
             if explored:
                 if ngens != len(gens):
-                    roots = _orbit_roots(
-                        k, [g for g in gens[ngens:] if all(g[u] == u for u in prefix)], parent
-                    )
+                    roots = _orbit_roots(k, [g for g in gens if all(g[u] == u for u in prefix)])
                     ngens = len(gens)
                 if any(roots[v] == roots[u] for u in explored):
                     continue

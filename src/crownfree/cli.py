@@ -136,31 +136,26 @@ def cmd_discharge(args) -> int:
     except discharging.DegreePreconditionError as exc:
         obj["trace"] = None
         obj["trace_skipped_reason"] = str(exc)
-    if args.json:
-        print(json.dumps(obj, indent=2))
+    lines = [
+        f"n={n} m={len(H.edges)} T*={obj['t_star']} L={large}",
+        f"lemma2 rhs = {rhs} (>{14}: {rhs > 14}, >{15}: {rhs > 15})",
+    ]
+    if obj["trace"] is None:
+        lines.append(f"trace skipped: {obj['trace_skipped_reason']}")
     else:
-        print(f"n={n} m={len(H.edges)} T*={obj['t_star']} L={large}")
-        print(f"lemma2 rhs = {rhs} (>{14}: {rhs > 14}, >{15}: {rhs > 15})")
-        if obj["trace"] is None:
-            print(f"trace skipped: {obj['trace_skipped_reason']}")
-        else:
-            print(f"trace: k={len(obj['trace']['steps'])} residue={obj['trace']['residue']}")
+        lines.append(f"trace: k={len(obj['trace']['steps'])} residue={obj['trace']['residue']}")
+    _emit(obj, args.json, "\n".join(lines))
     return EXIT_OK
 
 
 def cmd_lemmas(args) -> int:
     names = list(lemmas.ALL_SUITES) if args.suite == "all" else [args.suite]
     reports = [lemmas.run_suite(nm, seed=args.seed, count=args.count) for nm in names]
-    if args.json:
-        print(json.dumps(
-            {"schema": "crownfree/reports-v1", "reports": [r.to_json_obj() for r in reports]},
-            indent=2,
-        ))
-    else:
-        for r in reports:
-            print(r.summary())
-        if args.suite == "order11":
-            print(lemmas.min_counterexample_order())
+    obj = {"schema": "crownfree/reports-v1", "reports": [r.to_json_obj() for r in reports]}
+    lines = [r.summary() for r in reports]
+    if args.suite == "order11":
+        lines.append(str(lemmas.min_counterexample_order()))
+    _emit(obj, args.json, "\n".join(lines))
     return EXIT_OK if all(r.passed for r in reports) else EXIT_PROPERTY_FAILS
 
 

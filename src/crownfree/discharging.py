@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .graphs import LinearThreeGraph
+from .graphs import LinearThreeGraph, _is_int
 
 
 # -- star sums ---------------------------------------------------------------
@@ -118,7 +118,8 @@ class _Bookkeeping(NamedTuple):
 def _bookkeeping(trace: DischargeTrace) -> _Bookkeeping:
     """Replay the steps of a trace once, with one running f.
 
-    Raises ValueError on a step vertex outside 0..n-1, n = len(f0).
+    Raises ValueError on a step vertex that is not an int (bools are
+    refused, as in validate_linear) or is outside 0..n-1, n = len(f0).
     """
     f = list(trace.f0)
     n = len(f)
@@ -130,6 +131,8 @@ def _bookkeeping(trace: DischargeTrace) -> _Bookkeeping:
     touched: dict[int, list[int]] = {}
     delta_v: dict[int, int] = {}
     for i, (x, y) in enumerate(trace.steps):
+        if type(x) is not int and not _is_int(x) or type(y) is not int and not _is_int(y):
+            raise ValueError(f"step {i + 1} = {(x, y)!r} has a vertex that is not an int")
         if not (0 <= x < n and 0 <= y < n):
             raise ValueError(f"step {i + 1} = ({x}, {y}) has a vertex outside 0..{n - 1}")
         fx, fy = f[x], f[y]
@@ -267,6 +270,8 @@ def delta_v_bound_check(trace: DischargeTrace, v: int, m: int) -> tuple[int, int
     """
     if m < 9:
         raise ValueError(f"vertex degree m = {m} must be >= 9")
+    if type(v) is not int and not _is_int(v):
+        raise ValueError(f"vertex {v!r} is not an int")
     if not 0 <= v < len(trace.f0):
         raise ValueError(f"vertex {v} outside 0..{len(trace.f0) - 1}")
     book = _bookkeeping(trace)

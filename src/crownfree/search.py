@@ -330,10 +330,9 @@ def exact_ex(
 
     witnesses = sorted(found)[:WITNESS_CAP]
     for w in witnesses:
-        g = from_edges_trusted(n, w)
+        g = validate_linear(w, n)
         if len(g.edges) != best:
             raise AssertionError(f"witness has {len(g.edges)} edges, not {best}")
-        validate_linear(g.edges, n)
         if crown_oracle(g) is not None:
             raise AssertionError("witness fails the crown oracle")
     return ExtremalCertificate(

@@ -190,6 +190,16 @@ class TestVerifierNegativeCases:
         assert not ok
         assert bad == [f"step 3 = {step} has a vertex outside 0..5"]
 
+    @pytest.mark.parametrize("step", [(5.0, 0), (0, "1"), (True, 0)])
+    def test_step_vertex_not_an_int_is_a_violation(self, step):
+        # bools are refused too, as validate_linear refuses them
+        d = [2, 2, 5, 5, 5, 11]
+        tr = build_discharge_sequence(d)
+        tr.steps[2] = step
+        ok, bad = verify_discharge_trace(tr, d)
+        assert not ok
+        assert bad == [f"step 3 = {step!r} has a vertex that is not an int"]
+
 
 class TestAgainstReference:
     """The linear-time builder and bookkeeping against the O(k * n)
@@ -252,6 +262,12 @@ class TestDeltaVBound:
     def test_vertex_out_of_range_rejected(self, v):
         tr = build_discharge_sequence([2, 2, 5, 5, 5, 11])
         with pytest.raises(ValueError, match="outside 0..5"):
+            delta_v_bound_check(tr, v, 11)
+
+    @pytest.mark.parametrize("v", [5.0, True])
+    def test_vertex_not_an_int_rejected(self, v):
+        tr = build_discharge_sequence([2, 2, 5, 5, 5, 11])
+        with pytest.raises(ValueError, match="not an int"):
             delta_v_bound_check(tr, v, 11)
 
 

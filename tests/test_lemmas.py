@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from crownfree import find_crown, find_rainbow_matching, crown_oracle
@@ -21,6 +23,19 @@ from crownfree.lemmas import (
 )
 
 
+def _rainbow_triples(colored):
+    """Every choice of one pair per colour whose three pairs are pairwise
+    disjoint, by plain sets over the colour classes."""
+    classes: dict = {}
+    for u, w, c in colored:
+        classes.setdefault(c, []).append({u, w})
+    assert len(classes) == 3
+    return [
+        (p, q, r) for p, q, r in product(*classes.values())
+        if not (p & q or p & r or q & r)
+    ]
+
+
 class TestCanonicalG:
     def test_color_classes_are_perfect_matchings(self):
         G = canonical_link_graph_G()
@@ -31,6 +46,9 @@ class TestCanonicalG:
 
     def test_rainbow_free(self):
         assert find_rainbow_matching(canonical_link_graph_G()) is None
+
+    def test_rainbow_free_by_brute_force(self):
+        assert _rainbow_triples(canonical_link_graph_G().colored_edges) == []
 
     def test_intersection_pattern(self):
         G = canonical_link_graph_G()
@@ -72,6 +90,20 @@ class TestLinks555:
         rep = verify_links555()
         assert rep.passed, rep.failures
         assert rep.instances == 1
+
+    def test_the_one_completion_is_rainbow_free(self, monkeypatch):
+        # the veto alone keeps rainbow triples out of the completions
+        seen = []
+        real = lemmas._encode_colored
+
+        def capture(colored):
+            seen.append(list(colored))
+            return real(colored)
+
+        monkeypatch.setattr(lemmas, "_encode_colored", capture)
+        enumerate_555_link_graphs()
+        assert len(seen) == 1
+        assert _rainbow_triples(seen[0]) == []
 
     def test_encoding_is_stable(self):
         assert encode_canonical_G() == encode_canonical_G()
@@ -161,6 +193,12 @@ class TestLemma1Corpus:
             dv = H.degree_vector(e)
             assert dv.x >= 6 and dv.y >= 4 and dv.z >= 2
             assert find_crown(H) is not None
+
+    def test_failed_domination_is_reported_by_greedy(self, monkeypatch):
+        monkeypatch.setattr(lemmas, "plant_642_instance", lambda rng: (induced_graph_of_G(), 0))
+        assert verify_lemma1_on_corpus(0, 1).failures == [
+            ("instance 0", "greedy failed: degree vector (5, 5, 5) does not dominate (6, 4, 2)")
+        ]
 
     def test_deterministic_given_seed(self):
         r1 = verify_lemma1_on_corpus(seed=9, count=50)

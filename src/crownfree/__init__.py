@@ -21,7 +21,6 @@ from .crowns import (
 from .discharging import (
     DischargeTrace,
     build_discharge_sequence,
-    delta_v_bound_check,
     large_set,
     lemma2_rhs,
     s_of,

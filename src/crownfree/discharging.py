@@ -6,9 +6,10 @@ a sequence f_0..f_k of integer functions from a near-uniform start (values
 in {5, 6, 7}) down to the true degree function by unit transfers, with an
 increase-only / decrease-only vertex partition.  A trace stores only f_0,
 the steps and the partition; the quadratic bookkeeping (T_i, Delta_i, g,
-h, Delta_v) needed by the two inequality checks is replayed from them in
-one pass over one running f, so building, verifying and bookkeeping a
-trace of k steps on n vertices costs O(n + k).
+h, Delta_v) is replayed from them in one pass over one running f, and the
+verifier checks every condition, the Delta_v bound at each vertex of
+degree >= 9 included, on that one replay, so building, verifying and
+bookkeeping a trace of k steps on n vertices costs O(n + k).
 All arithmetic is exact; no floats anywhere in this module.
 """
 
@@ -103,14 +104,12 @@ class DischargeTrace:
 class _Bookkeeping(NamedTuple):
     """t[i] is the sum of f_i(v)^2 and delta[i] = t[i+1] - t[i]; g[i] =
     2 f_i(x) + 1 and h[i] = 2 f_i(y) - 1 for step i+1 = (x, y);
-    touched_steps[v] lists the steps at v, delta_v[v] sums their delta;
-    fk is the final function."""
+    delta_v[v] sums delta over the steps at v; fk is the final function."""
 
     t: list[int]
     delta: list[int]
     g: list[int]
     h: list[int]
-    touched_steps: dict[int, list[int]]
     delta_v: dict[int, int]
     fk: list[int]
 
@@ -128,7 +127,6 @@ def _bookkeeping(trace: DischargeTrace) -> _Bookkeeping:
     delta: list[int] = []
     g: list[int] = []
     h: list[int] = []
-    touched: dict[int, list[int]] = {}
     delta_v: dict[int, int] = {}
     for i, (x, y) in enumerate(trace.steps):
         if type(x) is not int and not _is_int(x) or type(y) is not int and not _is_int(y):
@@ -145,17 +143,18 @@ def _bookkeeping(trace: DischargeTrace) -> _Bookkeeping:
         delta.append(dt)
         g.append(2 * fx + 1)
         h.append(2 * fy - 1)
-        touched.setdefault(x, []).append(i)
-        touched.setdefault(y, []).append(i)
         delta_v[x] = delta_v.get(x, 0) + dt
         delta_v[y] = delta_v.get(y, 0) + dt
-    return _Bookkeeping(ts, delta, g, h, touched, delta_v, f)
+    return _Bookkeeping(ts, delta, g, h, delta_v, f)
 
 
 def _check_preconditions(d: list[int]) -> int:
     n = len(d)
     if n == 0:
         raise DegreePreconditionError("empty degree function")
+    for v, x in enumerate(d):
+        if type(x) is not int and not _is_int(x):
+            raise DegreePreconditionError(f"d({v}) = {x!r} is not an int")
     if min(d) < 2:
         raise DegreePreconditionError("minimum degree must be >= 2")
     total = sum(d)
@@ -223,14 +222,20 @@ def verify_discharge_trace(trace: DischargeTrace, d: list[int]) -> tuple[bool, l
     """Check every invariant of a trace against the target degree function.
 
     The bookkeeping is replayed once from f0 and the steps; it is held to
-    d independently by f_k = d and T_k = sum of d(v)^2.  Violations are
-    returned as data, not raised, grouped by condition in a fixed order.
+    d independently by f_k = d and T_k = sum of d(v)^2.  At each vertex v
+    of degree m = d(v) >= 9 it also checks the discharging bound
+    Delta_v >= m^2 - 9m + 14 and its proof ingredient h(i) <= 9 on every
+    step touching v.  Violations are returned as data, not raised, grouped
+    by condition in a fixed order.
     """
-    bad: list[str] = []
     n = len(d)
     f0 = trace.f0
     if len(f0) != n:
         return False, [f"f0 has length {len(f0)}, expected {n}"]
+    bad = [f"d({v}) = {x!r} is not an int" for v, x in enumerate(d)
+           if type(x) is not int and not _is_int(x)]
+    if bad:
+        return False, bad
     for v, x in enumerate(f0):
         if not (5 <= x <= 7):
             bad.append(f"condition (1): f0({v}) = {x} not in [5, 7]")
@@ -252,6 +257,8 @@ def verify_discharge_trace(trace: DischargeTrace, d: list[int]) -> tuple[bool, l
         fx, fy = (book.g[i] - 1) // 2, (book.h[i] + 1) // 2
         if fx < fy:
             bad.append(f"condition (3): step {i + 1} has f(x) = {fx} < f(y) = {fy}")
+        if book.h[i] > 9 and (d[x] >= 9 or d[y] >= 9):
+            bad.append(f"h({i + 1}) = {book.h[i]} > 9 on a step touching a vertex of degree >= 9")
     for v in range(n):
         if v not in inc and f0[v] != 5:
             bad.append(f"condition (4): v = {v} in D but f0(v) = {f0[v]}")
@@ -260,29 +267,12 @@ def verify_discharge_trace(trace: DischargeTrace, d: list[int]) -> tuple[bool, l
             bad.append(f"Delta_{i + 1} = {dt} not positive")
     if book.t[-1] != sum(x * x for x in d):
         bad.append("T_k != sum of d(v)^2")
+    for v, m in enumerate(d):
+        if m >= 9:
+            dv, bound = book.delta_v.get(v, 0), m * m - 9 * m + 14
+            if dv < bound:
+                bad.append(f"Delta_v = {dv} < {bound} at vertex {v}")
     return not bad, bad
-
-
-def delta_v_bound_check(trace: DischargeTrace, v: int, m: int) -> tuple[int, int, bool]:
-    """Delta_v against the lower bound m^2 - 9m + 14 for a large vertex.
-
-    Also asserts the proof ingredient h(i) <= 9 on every step touching v.
-    """
-    if m < 9:
-        raise ValueError(f"vertex degree m = {m} must be >= 9")
-    if type(v) is not int and not _is_int(v):
-        raise ValueError(f"vertex {v!r} is not an int")
-    if not 0 <= v < len(trace.f0):
-        raise ValueError(f"vertex {v} outside 0..{len(trace.f0) - 1}")
-    book = _bookkeeping(trace)
-    if book.fk[v] != m:
-        raise ValueError(f"trace ends with f_k({v}) = {book.fk[v]}, not m = {m}")
-    for i in book.touched_steps.get(v, []):
-        if book.h[i] > 9:
-            raise AssertionError(f"h({i + 1}) = {book.h[i]} > 9 on a step touching {v}")
-    dv = book.delta_v.get(v, 0)
-    bound = m * m - 9 * m + 14
-    return dv, bound, dv >= bound
 
 
 @dataclass(frozen=True)

@@ -394,9 +394,9 @@ def verify_order11() -> ReplayReport:
 
 def verify_discharge_suite(seed: int = 0, count: int = 200) -> ReplayReport:
     """Random valid degree functions through the builder and the verifier,
-    including planted large degrees; the Delta_v bound is checked for every
-    vertex of final degree >= 9."""
-    from .discharging import build_discharge_sequence, delta_v_bound_check, verify_discharge_trace
+    including planted large degrees; one verifier call per instance also
+    checks the Delta_v bound at every vertex of degree >= 9."""
+    from .discharging import build_discharge_sequence, verify_discharge_trace
 
     t0 = time.monotonic()
     rep = ReplayReport(suite="discharge", seed=seed)
@@ -412,14 +412,6 @@ def verify_discharge_suite(seed: int = 0, count: int = 200) -> ReplayReport:
         ok, bad = verify_discharge_trace(trace, d)
         if not ok:
             rep.failures.append((f"instance {i}", "; ".join(bad)))
-            continue
-        for v, dv in enumerate(d):
-            if dv >= 9:
-                got, bound, holds = delta_v_bound_check(trace, v, dv)
-                if not holds:
-                    rep.failures.append(
-                        (f"instance {i}", f"Delta_v = {got} < {bound} at vertex {v}")
-                    )
     rep.elapsed_ms = (time.monotonic() - t0) * 1000
     return rep
 

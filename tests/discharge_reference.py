@@ -4,8 +4,8 @@ The plain form of `crownfree.discharging`: each step rescans the vertex
 order for the lowest vertex with f > d and the highest with f < d, and the
 bookkeeping is read off the full list f_0..f_k of intermediate functions.
 It costs O(k * n) where the library costs O(n + k), and it shares no code
-with the library, so the tests hold `build_discharge_sequence`,
-`delta_v_bound_check` and the library's one-pass bookkeeping to it.
+with the library, so the tests hold `build_discharge_sequence`, the
+library's one-pass bookkeeping and the verifier's Delta_v bound to it.
 """
 
 from __future__ import annotations

@@ -6,7 +6,6 @@ import pytest
 from crownfree import (
     build_discharge_sequence,
     crown_oracle,
-    delta_v_bound_check,
     large_set,
     lemma2_rhs,
     s_of,
@@ -138,6 +137,15 @@ class TestBuilder:
                 assert sum(fi) == total
             assert all(x > 0 for x in _bookkeeping(tr).delta)
 
+    @pytest.mark.parametrize("d", [
+        [2, 2, 5, 5, 5, 11.0],
+        [2, 2, 5, 5, 5, Fraction(11)],
+        [2.5, 2.5, 5, 5, 5, 10],
+    ], ids=["float", "fraction", "half_units"])
+    def test_non_int_degree_rejected(self, d):
+        with pytest.raises(DegreePreconditionError, match="is not an int"):
+            build_discharge_sequence(d)
+
     def test_hand_built_trace_matches_builder(self):
         d = [2, 2, 5, 5, 5, 11]
         built = build_discharge_sequence(d)
@@ -145,7 +153,7 @@ class TestBuilder:
         assert tr.to_json_obj() == built.to_json_obj()
         assert _bookkeeping(tr) == _bookkeeping(built)
         assert verify_discharge_trace(tr, d) == (True, [])
-        assert delta_v_bound_check(tr, 5, 11) == (54, 36, True)
+        assert _bookkeeping(tr).delta_v[5] == 54
 
 
 class TestVerifierNegativeCases:
@@ -200,6 +208,23 @@ class TestVerifierNegativeCases:
         assert not ok
         assert bad == [f"step 3 = {step!r} has a vertex that is not an int"]
 
+    @pytest.mark.parametrize("x", [11.0, Fraction(11), True], ids=["float", "fraction", "bool"])
+    def test_degree_not_an_int_is_a_violation(self, x):
+        tr = build_discharge_sequence([2, 2, 5, 5, 5, 11])
+        d = [2, 2, 5, 5, 5, x]
+        assert verify_discharge_trace(tr, d) == (False, [f"d(5) = {x!r} is not an int"])
+
+    def test_delta_v_bound_violation(self):
+        # the big vertex 5 gains all its units from vertex 2 while f(2) is
+        # still above 5, so every step at 5 has h > 9 and Delta_v sums to 0
+        d = [2, 2, 5, 5, 5, 11]
+        tr = DischargeTrace([5] * 6, [(2, 0)] * 3 + [(2, 1)] * 3 + [(5, 2)] * 6, {3, 4, 5})
+        assert _bookkeeping(tr).fk == d
+        ok, bad = verify_discharge_trace(tr, d)
+        assert not ok
+        assert "Delta_v = 0 < 36 at vertex 5" in bad
+        assert "h(7) = 21 > 9 on a step touching a vertex of degree >= 9" in bad
+
 
 class TestAgainstReference:
     """The linear-time builder and bookkeeping against the O(k * n)
@@ -213,10 +238,10 @@ class TestAgainstReference:
             tr = build_discharge_sequence(d)
             book = _bookkeeping(tr)
             for name, want in ref.items():
-                assert getattr(book if name in book._fields else tr, name) == want, (d, name)
-            for v, m in enumerate(d):
-                if m >= 9:
-                    assert delta_v_bound_check(tr, v, m) == reference_delta_v_bound(ref, v, m)
+                if name != "touched_steps":
+                    assert getattr(book if name in book._fields else tr, name) == want, (d, name)
+            holds = all(reference_delta_v_bound(ref, v, m)[2] for v, m in enumerate(d) if m >= 9)
+            assert verify_discharge_trace(tr, d)[0] == holds, d
 
     def test_seed_0_totals_are_pinned(self):
         rng = random.Random(0)
@@ -237,8 +262,8 @@ class TestDeltaVBound:
     def test_degree_11_example(self):
         d = [2, 2, 5, 5, 5, 11]
         tr = build_discharge_sequence(d)
-        dv, bound, ok = delta_v_bound_check(tr, 5, 11)
-        assert (dv, bound, ok) == (54, 36, True)
+        assert verify_discharge_trace(tr, d) == (True, [])
+        assert _bookkeeping(tr).delta_v[5] == 54  # bound 11^2 - 9*11 + 14 = 36
 
     def test_degree_9(self):
         d = [2, 2, 2, 2, 2, 2, 2, 9, 9, 9, 9, 9]  # n=12, sum 59; adjust
@@ -247,28 +272,12 @@ class TestDeltaVBound:
         d = [2, 4, 4, 5, 5, 6, 9]
         assert sum(d) == 5 * 7
         tr = build_discharge_sequence(d)
-        got, bound, ok = delta_v_bound_check(tr, 6, 9)
-        assert bound == 14 and ok
+        assert verify_discharge_trace(tr, d) == (True, [])
         book = _bookkeeping(tr)
-        for i in book.touched_steps[6]:
-            assert book.h[i] <= 9
-
-    def test_small_degree_rejected(self):
-        tr = build_discharge_sequence([4, 5, 7])
-        with pytest.raises(ValueError, match=">= 9"):
-            delta_v_bound_check(tr, 2, 7)
-
-    @pytest.mark.parametrize("v", [99, -1])
-    def test_vertex_out_of_range_rejected(self, v):
-        tr = build_discharge_sequence([2, 2, 5, 5, 5, 11])
-        with pytest.raises(ValueError, match="outside 0..5"):
-            delta_v_bound_check(tr, v, 11)
-
-    @pytest.mark.parametrize("v", [5.0, True])
-    def test_vertex_not_an_int_rejected(self, v):
-        tr = build_discharge_sequence([2, 2, 5, 5, 5, 11])
-        with pytest.raises(ValueError, match="not an int"):
-            delta_v_bound_check(tr, v, 11)
+        assert book.delta_v[6] >= 14  # bound 9^2 - 9*9 + 14
+        for (x, y), h in zip(tr.steps, book.h):
+            if 6 in (x, y):
+                assert h <= 9
 
 
 class TestStarDeficit:

@@ -244,6 +244,37 @@ class TestOrder11:
         assert verify_order11().passed
 
 
+class TestDischargeSuite:
+    def test_one_replay_per_instance(self, monkeypatch):
+        # the verifier checks the Delta_v bound on its own replay (2,177
+        # replays when each vertex of degree >= 9 was replayed again)
+        from crownfree import discharging
+
+        calls = []
+        real = discharging._bookkeeping
+
+        def counting(trace):
+            calls.append(1)
+            return real(trace)
+
+        monkeypatch.setattr(discharging, "_bookkeeping", counting)
+        assert verify_discharge_suite(7, 1000).passed
+        assert len(calls) == 1000
+
+    def test_h_above_9_is_a_reported_failure(self, monkeypatch):
+        from crownfree import discharging
+
+        bad = discharging.DischargeTrace(
+            [5] * 6, [(2, 0)] * 3 + [(2, 1)] * 3 + [(5, 2)] * 6, {3, 4, 5}
+        )
+        monkeypatch.setattr(lemmas, "random_degree_function", lambda rng: [2, 2, 5, 5, 5, 11])
+        monkeypatch.setattr(discharging, "build_discharge_sequence", lambda d: bad)
+        rep = verify_discharge_suite(0, 1)
+        assert rep.instances == 1 and len(rep.failures) == 1
+        assert "h(7) = 21 > 9 on a step touching a vertex of degree >= 9" in rep.failures[0][1]
+        assert rep.failures[0][1].endswith("Delta_v = 0 < 36 at vertex 5")
+
+
 class TestRunSuite:
     def test_unknown(self):
         with pytest.raises(KeyError):

@@ -226,13 +226,15 @@ def verify_discharge_trace(trace: DischargeTrace, d: list[int]) -> tuple[bool, l
     of degree m = d(v) >= 9 it also checks the discharging bound
     Delta_v >= m^2 - 9m + 14 and its proof ingredient h(i) <= 9 on every
     step touching v.  Violations are returned as data, not raised, grouped
-    by condition in a fixed order.
+    by condition in a fixed order.  An entry of d or f0 that is not an
+    int, a bool included, is reported alone, before the replay.
     """
     n = len(d)
     f0 = trace.f0
     if len(f0) != n:
         return False, [f"f0 has length {len(f0)}, expected {n}"]
-    bad = [f"d({v}) = {x!r} is not an int" for v, x in enumerate(d)
+    bad = [f"{name}({v}) = {x!r} is not an int"
+           for name, xs in (("d", d), ("f0", f0)) for v, x in enumerate(xs)
            if type(x) is not int and not _is_int(x)]
     if bad:
         return False, bad

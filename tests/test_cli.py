@@ -225,17 +225,20 @@ class TestDischarge:
         assert "trace_skipped_reason" in obj
 
     def test_trace_present_when_sum_matches(self, tmp_path, capsys):
-        # star with 9 spokes: n=19, sum d = 9 + 18*1... min degree 1, no.
-        # spoke_wheel(9): n=20, degrees 9,9 and eighteen 2s, sum 54; 5n=100, no.
-        # build a graph whose degree sum is 5n: n=3 needs sum 15 but a single
-        # triangle has sum 3. Use JSON degrees path via a dense sunflower:
-        # n=7, need sum 35; AG(2,3) minus? Simplest: skip, validated in unit
-        # tests for build_discharge_sequence; here check a skipped trace only.
-        path = write_graph(tmp_path, CROWN_EDGES, 9)
+        # the cyclic STS(13) less four edges through 0: n = 13, m = 22 and
+        # degree sum 66 = 5n + 1, with min degree 2 and max degree 6
+        sts = {tuple(sorted((i, (i + a) % 13, (i + b) % 13)))
+               for i in range(13) for a, b in ((1, 4), (2, 7))}
+        gone = [(0, 1, 4), (0, 2, 7), (0, 3, 12), (0, 5, 11)]
+        path = write_graph(tmp_path, sorted(sts - set(gone)), 13)
         assert run(["discharge", path, "--json"]) == 0
         obj = json.loads(capsys.readouterr().out)
-        assert obj["trace"] is None
-
+        assert (obj["n"], obj["m"], sum(obj["degrees"])) == (13, 22, 66)
+        assert obj["trace"] is not None
+        assert "trace_skipped_reason" not in obj
+        assert obj["trace"]["residue"] == 1
+        assert run(["discharge", path]) == 0
+        assert "trace: k=3 residue=1" in capsys.readouterr().out.splitlines()
 
     def test_per_edge_entries_match_edge_queries(self, tmp_path, capsys):
         from crownfree.discharging import s_of, s_star

@@ -214,6 +214,21 @@ class TestVerifierNegativeCases:
         d = [2, 2, 5, 5, 5, x]
         assert verify_discharge_trace(tr, d) == (False, [f"d(5) = {x!r} is not an int"])
 
+    @pytest.mark.parametrize("x", [5.0, Fraction(5), True], ids=["float", "fraction", "bool"])
+    def test_f0_not_an_int_is_a_violation(self, x):
+        d = [2, 2, 5, 5, 5, 11]
+        tr = build_discharge_sequence(d)
+        tr.f0[5] = x
+        assert verify_discharge_trace(tr, d) == (False, [f"f0(5) = {x!r} is not an int"])
+
+    def test_f0_all_floats_is_a_violation(self):
+        d = [2, 2, 5, 5, 5, 11]
+        t = build_discharge_sequence(d)
+        tr = DischargeTrace([float(x) for x in t.f0], t.steps, t.increase_set)
+        ok, bad = verify_discharge_trace(tr, d)
+        assert not ok
+        assert bad == [f"f0({v}) = {float(x)!r} is not an int" for v, x in enumerate(t.f0)]
+
     def test_delta_v_bound_violation(self):
         # the big vertex 5 gains all its units from vertex 2 while f(2) is
         # still above 5, so every step at 5 has h > 9 and Delta_v sums to 0

@@ -360,6 +360,13 @@ class TestExactEx:
         cert = exact_ex(9, max_nodes=0)
         assert (cert.nodes_explored, cert.exhaustive) == (0, False)
 
+    def test_max_seconds_overrun_is_small_at_n103(self):
+        # the crown_oracle recheck of the 150-edge witness runs after the
+        # budget, so only a cheap oracle keeps the stop near 1 s
+        cert = exact_ex(103, max_seconds=1)
+        assert not cert.exhaustive
+        assert cert.elapsed_seconds < 10
+
     def test_n11_witness_is_the_555_link_graph(self):
         # The 13-edge graph built on the unique rainbow-free (5,5,5) link
         # graph is extremal for n = 11.
@@ -416,7 +423,7 @@ class TestLowerBoundConstruction:
     def test_self_certified(self):
         # the construction checks itself with find_crown; recheck with
         # the independent oracle
-        for n in (11, 19, 23):
+        for n in (11, 19, 23, 103):
             H = lower_bound_construction(n)
             assert crown_oracle(H) is None
             validate_linear(H.edges, n)

@@ -2,10 +2,11 @@
 
 A crown is a base edge plus three pairwise disjoint jewels, one through
 each base vertex.  Equivalently, the 3-edge-colored link graph of the base
-has a rainbow matching.  A brute-force oracle, the definition read base by
-base on plain sets, is kept alongside as an independent check.  It takes
-about 0.003, 0.008 and 0.02 s on the lower-bound gadget at n = 43, 63 and
-103 (one core of a 2-vCPU host, Python 3.11).
+has a rainbow matching, so find_crown_with_base does not validate the
+witness it builds from one.  A brute-force oracle, the definition read
+base by base on plain sets, is kept alongside as an independent check.
+It takes about 0.003, 0.008 and 0.02 s on the lower-bound gadget at
+n = 43, 63 and 103 (one core of a 2-vCPU host, Python 3.11).
 """
 
 from __future__ import annotations
@@ -55,20 +56,17 @@ class CrownWitness:
         ids = (self.base,) + self.jewels
         if len(set(ids)) != 4:
             raise ValueError(f"witness edges not distinct: {ids}")
-        edges = [H.edge(i) for i in ids]
-        bm, m0, m1, m2 = [_mask(f) for f in edges]
-        if m0 & m1 or m0 & m2 or m1 & m2:
-            for j1, j2 in combinations([set(f) for f in edges[1:]], 2):
-                if j1 & j2:
-                    raise ValueError(f"jewels intersect: {sorted(j1)} / {sorted(j2)}")
-        h0, h1, h2 = bm & m0, bm & m1, bm & m2  # one bit each in a crown
-        if not h0 or h0 & (h0 - 1) or not h1 or h1 & (h1 - 1) or not h2 or h2 & (h2 - 1):
-            be = set(edges[0])
-            for js in map(set, edges[1:]):
-                if len(be & js) != 1:
-                    raise ValueError(f"jewel {sorted(js)} meets base {sorted(be)} in {be & js}")
-        if h0 | h1 | h2 != bm:
-            hits = [h.bit_length() - 1 for h in (h0, h1, h2)]
+        base, *jewels = [set(H.edge(i)) for i in ids]
+        for j1, j2 in combinations(jewels, 2):
+            if j1 & j2:
+                raise ValueError(f"jewels intersect: {sorted(j1)} / {sorted(j2)}")
+        hits: list[int] = []
+        for js in jewels:
+            meet = base & js
+            if len(meet) != 1:
+                raise ValueError(f"jewel {sorted(js)} meets base {sorted(base)} in {meet}")
+            hits += meet
+        if set(hits) != base:
             raise ValueError(f"jewels hit {hits}, not all three base vertices")
 
     def to_json_obj(self, H: LinearThreeGraph) -> dict:
@@ -76,14 +74,6 @@ class CrownWitness:
             "base": list(H.edge(self.base)),
             "jewels": [list(H.edge(j)) for j in self.jewels],
         }
-
-
-def _mask(vs) -> int:
-    """Bitmask of a vertex collection."""
-    m = 0
-    for v in vs:
-        m |= 1 << v
-    return m
 
 
 def _link_classes(H: LinearThreeGraph, e: int) -> tuple[list, list, list]:
@@ -160,14 +150,15 @@ def find_crown_with_base(H: LinearThreeGraph, e: int) -> CrownWitness | None:
     lexicographically least one, jewels in the order of e's vertices.
 
     The edges through one vertex of a linear graph meet nowhere else, so
-    in the sorted edge list each link class is already in (y, z) order."""
+    in the sorted edge list each link class is already in (y, z) order.
+    The jewels are one edge from each link class with pairwise disjoint
+    pairs, which is the definition of a crown, so the witness needs no
+    validation."""
     classes = _link_classes(H, e)
     hit = _disjoint_triple(*map(_pair_masks, classes))
     if hit is None:
         return None
-    w = CrownWitness(e, tuple(cls[i][2] for cls, i in zip(classes, hit)))
-    w.validate(H)
-    return w
+    return CrownWitness(e, tuple(cls[i][2] for cls, i in zip(classes, hit)))
 
 
 def crown_free_additions(edges: Sequence[Triple], candidates: Sequence[Triple]) -> list[Triple]:

@@ -129,7 +129,7 @@ def _bookkeeping(trace: DischargeTrace) -> _Bookkeeping:
     h: list[int] = []
     delta_v: dict[int, int] = {}
     for i, (x, y) in enumerate(trace.steps):
-        if type(x) is not int and not _is_int(x) or type(y) is not int and not _is_int(y):
+        if not _is_int(x) or not _is_int(y):
             raise ValueError(f"step {i + 1} = {(x, y)!r} has a vertex that is not an int")
         if not (0 <= x < n and 0 <= y < n):
             raise ValueError(f"step {i + 1} = ({x}, {y}) has a vertex outside 0..{n - 1}")
@@ -153,7 +153,7 @@ def _check_preconditions(d: list[int]) -> int:
     if n == 0:
         raise DegreePreconditionError("empty degree function")
     for v, x in enumerate(d):
-        if type(x) is not int and not _is_int(x):
+        if not _is_int(x):
             raise DegreePreconditionError(f"d({v}) = {x!r} is not an int")
     if min(d) < 2:
         raise DegreePreconditionError("minimum degree must be >= 2")
@@ -235,7 +235,7 @@ def verify_discharge_trace(trace: DischargeTrace, d: list[int]) -> tuple[bool, l
         return False, [f"f0 has length {len(f0)}, expected {n}"]
     bad = [f"{name}({v}) = {x!r} is not an int"
            for name, xs in (("d", d), ("f0", f0)) for v, x in enumerate(xs)
-           if type(x) is not int and not _is_int(x)]
+           if not _is_int(x)]
     if bad:
         return False, bad
     for v, x in enumerate(f0):

@@ -4,6 +4,9 @@ Vertices are dense 0-based indices.  Edges are strictly increasing triples,
 the edge list is lexicographically sorted and duplicate-free, and any two
 edges share at most one vertex (linearity).  validate_linear checks
 linearity with a pair table it builds and drops; the graph keeps no index.
+It is the check for triples from outside the program (the parsers, the
+library API); code that builds its edges increasing and linear by
+construction calls the LinearThreeGraph constructor directly.
 """
 
 from __future__ import annotations
@@ -126,7 +129,7 @@ class LinearThreeGraph:
 
 
 def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
+    return type(x) is int or isinstance(x, int) and not isinstance(x, bool)
 
 
 def validate_linear(triples: Iterable[Sequence[int]], n: int) -> LinearThreeGraph:
@@ -135,25 +138,19 @@ def validate_linear(triples: Iterable[Sequence[int]], n: int) -> LinearThreeGrap
     Raises LinearityError naming the first offending triple or pair of
     edges: out-of-range index, repeated vertex within a triple, duplicate
     edge, or two edges sharing two vertices.  One loop reads the triples
-    once (a generator is not copied to a list) and checks and orders each;
-    an increasing in-range int tuple takes a cheap branch.  After one sort
-    of the edge list, one pass over a set of pair keys finds the first
-    duplicate or shared pair, and only then builds its message.
+    once (a generator is not copied to a list) and checks and orders each.
+    After one sort of the edge list, one pass over a set of pair keys finds
+    the first duplicate or shared pair, and only then builds its message.
     """
     if n < 1:
         raise LinearityError("vertex set must be non-empty (n >= 1)")
     norm: list[Triple] = []
     for t in triples:
-        if type(t) is tuple and len(t) == 3:
-            a, b, c = t
-            if type(a) is int and type(b) is int and type(c) is int and 0 <= a < b < c < n:
-                norm.append(t)
-                continue
         t = list(t)
         if len(t) != 3:
             raise LinearityError(f"edge {t} does not have 3 vertices")
         for v in t:
-            if type(v) is not int and not _is_int(v):
+            if not _is_int(v):
                 raise LinearityError(f"edge {t} has a non-integer vertex")
             if not (0 <= v < n):
                 raise LinearityError(f"edge {t}: vertex {v} out of range [0, {n})")
@@ -186,15 +183,6 @@ def validate_linear(triples: Iterable[Sequence[int]], n: int) -> LinearThreeGrap
         seen.add(q)
         seen.add(r)
     return LinearThreeGraph(n, tuple(norm))
-
-
-def from_edges_trusted(n: int, edges: Iterable[Sequence[int]]) -> LinearThreeGraph:
-    """Build a graph from triples known to be linear (sorted/normalized here).
-
-    Used by internal generators on the hot path; callers guarantee linearity.
-    """
-    norm = tuple(sorted(tuple(sorted(e)) for e in edges))
-    return LinearThreeGraph(n, norm)
 
 
 # -- L3G text format ---------------------------------------------------------

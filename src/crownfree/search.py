@@ -44,7 +44,7 @@ from typing import Iterator, Sequence
 
 from .canon import CanonResult, _orbit_roots, canonical_edges
 from .crowns import crown_free_additions, crown_oracle, find_crown
-from .graphs import LinearThreeGraph, Triple, from_edges_trusted, validate_linear
+from .graphs import LinearThreeGraph, Triple, validate_linear
 
 
 @dataclass
@@ -53,14 +53,14 @@ class ExtremalCertificate:
 
     n: int
     value: int
-    witnesses: list[tuple[Triple, ...]]  # canonical edge lists, sorted, capped
+    witnesses: list[tuple[Triple, ...]]  # canonical edge lists, sorted, capped; see exact_ex
     nodes_explored: int
     exhaustive: bool
     elapsed_seconds: float
     params: dict = field(default_factory=dict)
 
     def witness_graphs(self) -> list[LinearThreeGraph]:
-        return [from_edges_trusted(self.n, w) for w in self.witnesses]
+        return [LinearThreeGraph(self.n, w) for w in self.witnesses]
 
     def to_json_obj(self) -> dict:
         return {
@@ -98,7 +98,7 @@ class _Node:
         return self.canon
 
     def graph(self) -> LinearThreeGraph:
-        return from_edges_trusted(self.cov if self.cov else 1, self.edges)
+        return LinearThreeGraph(self.cov or 1, self.edges)
 
 
 def _root() -> _Node:
@@ -284,8 +284,11 @@ def exact_ex(
     it keeps the largest edge count m and the canonical forms of the
     classes at that m.  No node is pruned (the theorem's 5n/3 bound is not
     used), so nodes_explored of an exhaustive run is the number of those
-    classes plus one, the empty root.  The incumbent is seeded with the
-    lower-bound gadget, so a budget stop returns at least its edge count.
+    classes plus one, the empty root.  The incumbent count is seeded with
+    the lower-bound gadget's, so a budget stop returns at least its edge
+    count.  The gadget is not labelled: an exhaustive walk reaches its
+    class, and a stop before any walked node reaches its count returns
+    the gadget's own edge list as the one witness.
     threads selects no code path: it is only recorded in the
     certificate's params.  Every witness returned (at most
     WITNESS_CAP) is rechecked against crown_oracle.
@@ -294,9 +297,9 @@ def exact_ex(
     before each node is taken, and a stop returns exhaustive=False.
     max_seconds can therefore be overrun by the expansion of one node (its
     candidates' crown checks and canonical tests).  The budget does not
-    cover labelling the lower-bound gadget before the search, nor the
-    crown_oracle recheck of up to WITNESS_CAP witnesses after it.  Both
-    are small: a 1 s budget stops within 0.2 s of it for n <= 103.
+    cover building the gadget before the search, nor the crown_oracle
+    recheck of up to WITNESS_CAP witnesses after it.  Both are small: a
+    1 s budget stops within 0.5 s of it for n <= 403.
     """
     if n < 3:
         raise ValueError("need n >= 3")
@@ -308,8 +311,6 @@ def exact_ex(
     seed_graph = lower_bound_construction(n)
     best = len(seed_graph.edges)
     found: set[tuple[Triple, ...]] = set()
-    if seed_graph.edges:
-        found.add(canonical_edges(n, seed_graph.edges).edges)
     nodes = 0
     deadline = t0 + max_seconds if max_seconds is not None else None
 
@@ -328,6 +329,8 @@ def exact_ex(
             found.add(node.canonical().edges)
 
     witnesses = sorted(found)[:WITNESS_CAP]
+    if not witnesses and best:
+        witnesses = [seed_graph.edges]
     for w in witnesses:
         g = validate_linear(w, n)
         if len(g.edges) != best:
@@ -400,7 +403,7 @@ def random_linear_graph(n: int, m: int, seed: int) -> LinearThreeGraph:
             continue
         pairs.update(ps)
         edges.append(t)
-    return from_edges_trusted(n, edges)
+    return LinearThreeGraph(n, tuple(sorted(edges)))
 
 
 def _saturated(n: int, pairs: set[tuple[int, int]]) -> bool:

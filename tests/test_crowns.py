@@ -201,6 +201,8 @@ class TestFindCrownWithBase:
         for e in range(len(H.edges)):
             w = find_crown_with_base(H, e)
             assert (None if w is None else w.jewels) == link_route_jewels(H, e)
+            if w is not None:
+                w.validate(H)
 
     def test_link_route_on_random_graphs(self):
         rng = random.Random(17)
@@ -221,6 +223,7 @@ class TestFindCrownWithBase:
         rng = random.Random(0)
         for _ in range(1000):
             H, e = plant_642_instance(rng)
+            assert validate_linear(H.edges, H.n) == H and e == 0
             w = find_crown_with_base(H, e)
             g = greedy_crown_642(H, e)
             h.update(repr((H.n, H.edges, e, w.jewels, g.jewels)).encode())

@@ -71,7 +71,7 @@ class TestValidateMessages:
         # the pair prints as a set, in the set's own order
         ([(0, 3, 4), (1, 2, 8), (9, 8, 7), (8, 7, 10)], 11,
          "edges #2 [7, 8, 9] and #3 [7, 8, 10] share pair {8, 7}"),
-        # sorted tuples that the cheap branch must hand to the full checks
+        # increasing tuples get every check too
         ([(False, 1, 2)], 3, "edge [False, 1, 2] has a non-integer vertex"),
         ([(0, 1, 5)], 5, "edge [0, 1, 5]: vertex 5 out of range [0, 5)"),
         ([(0, 1, 2), (0, 1, 2)], 3, "duplicate edge [0, 1, 2]"),
@@ -91,8 +91,7 @@ class TestValidateMessages:
         assert g.edges == ((0, 1, 2), (0, 3, 4))
 
     def test_generator_of_triples_falls_back_intact(self):
-        # the triples are read once: the cheap branch takes the first two
-        # and the full checks normalise the unsorted third
+        # the triples are read once; the unsorted third is normalised
         g = validate_linear((t for t in [(0, 1, 2), (0, 3, 4), (6, 5, 1)]), 7)
         assert g.edges == ((0, 1, 2), (0, 3, 4), (1, 5, 6))
 

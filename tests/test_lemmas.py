@@ -4,6 +4,8 @@ import pytest
 
 from crownfree import find_crown, find_rainbow_matching, crown_oracle
 from crownfree import lemmas
+from crownfree.cli import run
+from crownfree.graphs import LinearityError
 from crownfree.lemmas import (
     _encode_colored,
     _matchings4,
@@ -83,6 +85,25 @@ class TestReplaySection3:
 
     def test_crown_free_by_oracle(self):
         assert crown_oracle(induced_graph_of_G()) is None
+
+    def test_nonlinear_extension_is_a_reported_failure(self, monkeypatch):
+        # the extensions are the only graphs built on 12 and 13 vertices;
+        # a case whose extension is refused skips its other checks
+        real = lemmas.validate_linear
+
+        def refuse_extensions(triples, n):
+            if n in (12, 13):
+                raise LinearityError(f"refused at n = {n}")
+            return real(triples, n)
+
+        monkeypatch.setattr(lemmas, "validate_linear", refuse_extensions)
+        rep = replay_section3()
+        assert rep.failures == [
+            ("w1 = v5: extension is linear", "refused at n = 12"),
+            ("w1 fresh: extension is linear", "refused at n = 13"),
+        ]
+        assert rep.instances == 8
+        assert run(["lemmas", "--suite", "replay3"]) == 2
 
 
 class TestLinks555:

@@ -359,6 +359,8 @@ class TestExactEx:
         assert cert.value >= 6  # incumbent seeded from the construction
         cert = exact_ex(9, max_nodes=0)
         assert (cert.nodes_explored, cert.exhaustive) == (0, False)
+        # no node walked: the one witness is the gadget's own edge list
+        assert cert.witnesses == [lower_bound_construction(9).edges]
 
     def test_max_seconds_overrun_is_small_at_n103(self):
         # the crown_oracle recheck of the 150-edge witness runs after the
@@ -366,6 +368,13 @@ class TestExactEx:
         cert = exact_ex(103, max_seconds=1)
         assert not cert.exhaustive
         assert cert.elapsed_seconds < 10
+
+    def test_max_seconds_overrun_is_small_at_n403(self):
+        # the gadget is built but not labelled before the walk; labelling
+        # it outside the budget made this stop take about 11 s
+        cert = exact_ex(403, max_seconds=1)
+        assert (cert.exhaustive, cert.value) == (False, 600)
+        assert cert.elapsed_seconds < 5
 
     def test_n11_witness_is_the_555_link_graph(self):
         # The 13-edge graph built on the unique rainbow-free (5,5,5) link
@@ -376,7 +385,8 @@ class TestExactEx:
 
     def test_n11_canon_calls_pinned(self, monkeypatch):
         # A parent is labelled only when two candidates pass its degree and
-        # crown tests (2,164 calls when every parent was labelled).
+        # crown tests (2,164 calls when every parent was labelled); the
+        # lower-bound gadget is not labelled.
         calls = []
         real = search.canonical_edges
 
@@ -386,7 +396,7 @@ class TestExactEx:
 
         monkeypatch.setattr(search, "canonical_edges", counting)
         cert = exact_ex(11)
-        assert (cert.nodes_explored, len(calls)) == (1794, 1266)
+        assert (cert.nodes_explored, len(calls)) == (1794, 1265)
 
     def test_thread_determinism(self):
         c1 = exact_ex(9, threads=1)

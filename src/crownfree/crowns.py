@@ -171,10 +171,10 @@ def crown_free_additions(edges: Sequence[Triple], candidates: Sequence[Triple]) 
     the bitmask tables are built once for all the candidates:
     - the masks of the edges at each vertex: t is the base of a crown
       when three of them, one at each vertex of t, are pairwise disjoint;
-    - for each base f = {x, y, z} in edges and each x in f, the unions
-      g | h of the disjoint pairs of edges g at y and h at z, both other
-      than f: t, which contains x, is the jewel at x of a crown when one
-      of these unions misses t.
+    - for each base f = {x, y, z} in edges and each x in f that some
+      candidate uses, the unions g | h of the disjoint pairs of edges g
+      at y and h at z, both other than f: t, which contains x, is the
+      jewel at x of a crown when one of these unions misses t.
     Adding t to a crown-free graph creates a crown iff one goes through t,
     which is how the search filters a node's candidates.
     """
@@ -187,13 +187,18 @@ def crown_free_additions(edges: Sequence[Triple], candidates: Sequence[Triple]) 
         for v in f:
             at[v].append(mf)
     # g = f or h = f would meet the other in a vertex of f, so the
-    # disjointness test alone keeps f out of the unions
+    # disjointness test alone keeps f out of the unions; they are built
+    # only at the vertices some candidate uses
+    used = {v for t in candidates for v in t}
     jewels: list[list[int]] = [[] for _ in range(size)]
     for x, y, z in edges:
         at_x, at_y, at_z = at[x], at[y], at[z]
-        jewels[x] += [mg | mh for mg in at_y for mh in at_z if not mg & mh]
-        jewels[y] += [mg | mh for mg in at_x for mh in at_z if not mg & mh]
-        jewels[z] += [mg | mh for mg in at_x for mh in at_y if not mg & mh]
+        if x in used:
+            jewels[x] += [mg | mh for mg in at_y for mh in at_z if not mg & mh]
+        if y in used:
+            jewels[y] += [mg | mh for mg in at_x for mh in at_z if not mg & mh]
+        if z in used:
+            jewels[z] += [mg | mh for mg in at_x for mh in at_y if not mg & mh]
     out: list[Triple] = []
     for t in candidates:
         a, b, c = t

@@ -3,23 +3,30 @@
 Generation is strict canonical augmentation (McKay, *Isomorph-free
 exhaustive generation*, J. Algorithms 26, 1998).  A child H+e is
 accepted exactly when e lies in the Aut(H+e)-orbit of its deletion edge.
-That edge is chosen by an invariant first, the least sorted
-endpoint-degree triple (the key), and only a tie there is broken by
-canonical labelling (the last canonical image).  Expanding a node H runs
-five steps, cheapest first.  The candidate additions are listed.  Those
-whose key in H+e is not least among its edges are dropped, read off H's
-degrees without building H+e (_least_key_additions).  Crown-free runs
-then drop, in one crowns.crown_free_additions call per parent, the
-candidates that would make a crown through the new edge; the parent is
-crown-free, so that is exactly when the child has a crown.  If at least
-two candidates are left, H is labelled and they are cut to one per
-Aut(H)-orbit, the first in candidate order.  That cut needs the
-candidates to be a union of orbits, and both filters keep one: whether
-e's key is least in H+e, and whether H+e has a crown through e, depend
-only on the isomorphism type of the pair (H, e), which an automorphism
-of H fixes.  Last a child node H+e is built for each candidate left, and
-a tie on its key is broken as above.  Most parents need no labelling and
-most children none either.  Each class is then reached exactly once and
+That edge is chosen by invariants first: the least sorted
+endpoint-degree triple (the key), then among those the least sorted
+triple of vertex keys (_vertex_keys: a vertex's degree, then the sorted
+degree pairs of its co-pairs).  Only a tie on both is broken by
+canonical labelling (the last canonical image), as McKay and Piperno
+(J. Symb. Comput. 60, 2014) use cheap invariants before individualising.
+Expanding a node H runs five steps, cheapest first.  The candidate
+additions are listed, less the covered triples that miss a least-degree
+vertex, which cannot have the least key.  Those whose key in H+e is not
+least among its edges are dropped, read off H's degrees without building
+H+e (_least_key_additions).  Crown-free runs then drop, in one
+crowns.crown_free_additions call per parent, the candidates that would
+make a crown through the new edge; the parent is crown-free, so that is
+exactly when the child has a crown.  If at least two candidates are left
+and two of them have the same sorted triple of H's vertex keys, H is
+labelled and they are cut to one per Aut(H)-orbit, the first in
+candidate order; if every candidate's triple differs, each is its own
+orbit and the cut would keep them all.  That cut needs the candidates to
+be a union of orbits, and both filters keep one: whether e's key is
+least in H+e, and whether H+e has a crown through e, depend only on the
+isomorphism type of the pair (H, e), which an automorphism of H fixes.
+Last a child node H+e is built for each candidate left, and a tie on its
+keys is broken as above.  Most parents need no labelling and most
+children none either.  Each class is then reached exactly once and
 children need no dedupe.
 Both orbit steps use one representation and one union-find: the
 generators of CanonResult.auts, tuples indexed by label, are turned into
@@ -81,8 +88,8 @@ class ExtremalCertificate:
 class _Node:
     """Search node: edges plus cheap derived state.  Everything is fixed
     at construction except canon, which canonical() fills in lazily: when
-    _accept has to break a tie, when two candidates are left to cut to
-    orbits, or when the node is kept as a witness."""
+    _accept has to break a tie, when two candidates left to cut to orbits
+    share their vertex keys, or when the node is kept as a witness."""
 
     __slots__ = ("edges", "cov", "degs", "canon")
 
@@ -116,16 +123,35 @@ def _extend(node: _Node, e: Triple) -> _Node:
 
 
 def _candidate_edges(node: _Node, max_vertices: int) -> list[Triple]:
-    """Feasible additions in lexicographic order: free pairs only, new
-    vertices taken consecutively.  A triple on covered vertices is built
-    from a free pair (a, b) and a third vertex c > b."""
+    """Feasible additions in lexicographic order, free pairs only and new
+    vertices taken consecutively, less the covered triples that cannot
+    pass _least_key_additions.
+
+    Let u be a covered vertex of least degree δ (every covered vertex is
+    on an edge).  A covered triple e missing u has key at least
+    (δ+1, δ+1, δ+1) in node + e, while an edge at u keeps u's degree δ, so
+    e is not least.  Covered triples are therefore listed only through
+    every least-degree covered vertex, and none when there are more than
+    three.  The triples through new vertices are all listed."""
     cov = node.cov
     pairs = {p for a, b, c in node.edges for p in ((a, b), (a, c), (b, c))}
-    free = [p for p in combinations(range(cov), 2) if p not in pairs]
-    out = [(a, b, c) for a, b in free for c in range(b + 1, cov)
-           if (a, c) not in pairs and (b, c) not in pairs]
+    out: list[Triple] = []
+    if node.edges:
+        degs = node.degs
+        least = min(degs)
+        low = [v for v in range(cov) if degs[v] == least]
+        if len(low) <= 3:
+            # a vertex can join low only if it shares no edge with them
+            lowset = set(low)
+            near = {v for f in node.edges if not lowset.isdisjoint(f) for v in f}
+            rest = [x for x in range(cov) if x not in near and x not in lowset]
+            for r in combinations(rest, 3 - len(low)):
+                a, b, c = sorted(low + list(r))
+                if (a, b) not in pairs and (a, c) not in pairs and (b, c) not in pairs:
+                    out.append((a, b, c))
+            out.sort()
     if cov + 1 <= max_vertices:
-        out += [(a, b, cov) for a, b in free]
+        out += [(a, b, cov) for a, b in combinations(range(cov), 2) if (a, b) not in pairs]
     if cov + 2 <= max_vertices:
         out += [(i, cov, cov + 1) for i in range(cov)]
     if cov + 3 <= max_vertices:
@@ -207,26 +233,54 @@ def _least_key_additions(node: _Node, candidates: list[Triple]) -> list[Triple]:
     return out
 
 
+def _vertex_keys(node: _Node) -> list[tuple]:
+    """An isomorphism invariant of each label up to cov + 2: a covered
+    vertex's degree, then the sorted degree pairs of its co-pairs (the
+    other two vertices of each edge through it); a new vertex, label cov
+    or more, gets (0, ())."""
+    d = node.degs
+    co: list[list[tuple[int, int]]] = [[] for _ in range(node.cov)]
+    for a, b, c in node.edges:
+        da, db, dc = d[a], d[b], d[c]
+        co[a].append((db, dc) if db <= dc else (dc, db))
+        co[b].append((da, dc) if da <= dc else (dc, da))
+        co[c].append((da, db) if da <= db else (db, da))
+    return [(d[v], tuple(sorted(p))) for v, p in enumerate(co)] + [(0, ())] * 3
+
+
 def _accept(child: _Node, e: Triple) -> bool:
-    """Tie-break of the strict canonical-augmentation test, for an e that
-    passed _least_key_additions: is e in the Aut(child)-orbit of the
-    child's deletion edge?
+    """Strict canonical-augmentation test, for an e that passed
+    _least_key_additions: is e in the Aut(child)-orbit of the child's
+    deletion edge?
 
     The deletion edge is taken from the edges with the least sorted
-    endpoint-degree triple, e's; if that class has more than one edge, the
-    tie goes to the edge with the last canonical image.  The class and the
-    orbit are isomorphism invariants, so the test does not depend on the
-    labelling.  Only a tie needs canonical labelling, and then the orbit
-    is read from canon._orbit_roots over the child's edges.
+    endpoint-degree triple, e's; among those, from the edges with the
+    least sorted triple of _vertex_keys, which e must have; if that still
+    leaves more than one edge, the tie goes to the edge with the last
+    canonical image.  Both classes and the orbit are isomorphism
+    invariants, so the test does not depend on the labelling.  Only the
+    last tie needs canonical labelling, and then the orbit is read from
+    canon._orbit_roots over the child's edges.
     """
     degs = child.degs
     key = sorted((degs[e[0]], degs[e[1]], degs[e[2]]))
     ties = [f for f in child.edges if sorted((degs[f[0]], degs[f[1]], degs[f[2]])) == key]
     if len(ties) == 1:
         return True
+    vk = _vertex_keys(child)
+    ekey = sorted((vk[e[0]], vk[e[1]], vk[e[2]]))
+    least = []
+    for f in ties:
+        fk = sorted((vk[f[0]], vk[f[1]], vk[f[2]]))
+        if fk < ekey:
+            return False
+        if fk == ekey:
+            least.append(f)
+    if len(least) == 1:
+        return True
     canon = child.canonical()
     perm = canon.perm
-    d = max(ties, key=lambda f: sorted((perm[f[0]], perm[f[1]], perm[f[2]])))
+    d = max(least, key=lambda f: sorted((perm[f[0]], perm[f[1]], perm[f[2]])))
     edges = child.edges
     roots = _orbit_roots(len(edges), _index_perms(edges, canon.auts))
     return roots[edges.index(e)] == roots[edges.index(d)]
@@ -237,7 +291,8 @@ def _walk(max_vertices: int, crown_free: bool) -> Iterator[_Node]:
     isomorphism class, each yielded before it is expanded.  Expansion runs
     the steps of the module docstring; the crown cut applies only if
     crown_free.  A node is labelled for its orbits only if two candidates
-    are left, and a child node is built only for an orbit representative."""
+    are left with the same sorted triple of _vertex_keys, and a child node
+    is built only for an orbit representative."""
     stack = [_root()]
     while stack:
         node = stack.pop()
@@ -246,7 +301,10 @@ def _walk(max_vertices: int, crown_free: bool) -> Iterator[_Node]:
         if crown_free and candidates:
             candidates = crown_free_additions(node.edges, candidates)
         if len(candidates) > 1:
-            candidates = _orbit_reps(candidates, node.canonical().auts)
+            vk = _vertex_keys(node)
+            keys = {tuple(sorted((vk[a], vk[b], vk[c]))) for a, b, c in candidates}
+            if len(keys) < len(candidates):
+                candidates = _orbit_reps(candidates, node.canonical().auts)
         for e in candidates:
             child = _extend(node, e)
             if _accept(child, e):

@@ -1,37 +1,78 @@
 """Reference edge walk for tests: canonical augmentation in its plain order.
 
-`reference_walk` expands a node by listing its candidates, dropping (in
-crown-free walks) those that make a crown through the new edge, cutting
-the survivors to the first of each Aut(H)-orbit, and only then building
-every representative's child and testing it in full with
-`reference_accept`: least sorted endpoint-degree triple among the child's
-edges, ties to the last canonical image.  Every node is labelled and every
-representative's child is built.  `crownfree.search._walk` runs the cheap
-degree test on the parent first and labels a parent only when two
-candidates are left; it must yield the same nodes in the same order.
+`reference_walk` expands a node by listing every feasible addition
+(`all_candidate_edges`), dropping (in crown-free walks) those that make a
+crown through the new edge, cutting the survivors to the first of each
+Aut(H)-orbit, and only then building every representative's child and
+testing it in full with `reference_accept`: least sorted endpoint-degree
+triple among the child's edges, then least sorted triple of vertex keys
+(`vertex_keys`), ties to the last canonical image.  Every node is labelled
+and every representative's child is built.  `crownfree.search._walk` lists
+fewer candidates, runs the cheap degree test on the parent first, labels a
+parent only when two candidates left share their vertex keys, and labels a
+child only on a tie of both keys; it must yield the same nodes in the same
+order.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Iterator
 
 from crownfree.canon import _orbit_roots
 from crownfree.crowns import crown_free_additions
 from crownfree.graphs import Triple
-from crownfree.search import _candidate_edges, _extend, _index_perms, _Node, _orbit_reps, _root
+from crownfree.search import _extend, _index_perms, _Node, _orbit_reps, _root
+
+
+def all_candidate_edges(node: _Node, max_vertices: int) -> list[Triple]:
+    """Every feasible addition in lexicographic order: free pairs only, new
+    vertices taken consecutively.  A triple on covered vertices is built
+    from a free pair (a, b) and a third vertex c > b."""
+    cov = node.cov
+    pairs = {p for a, b, c in node.edges for p in ((a, b), (a, c), (b, c))}
+    free = [p for p in combinations(range(cov), 2) if p not in pairs]
+    out = [(a, b, c) for a, b in free for c in range(b + 1, cov)
+           if (a, c) not in pairs and (b, c) not in pairs]
+    if cov + 1 <= max_vertices:
+        out += [(a, b, cov) for a, b in free]
+    if cov + 2 <= max_vertices:
+        out += [(i, cov, cov + 1) for i in range(cov)]
+    if cov + 3 <= max_vertices:
+        out.append((cov, cov + 1, cov + 2))
+    return out
+
+
+def vertex_keys(edges) -> dict:
+    """Each covered vertex's degree, then the sorted degree pairs of the
+    other two vertices of each edge through it."""
+    deg: dict[int, int] = {}
+    for f in edges:
+        for v in f:
+            deg[v] = deg.get(v, 0) + 1
+    return {v: (deg[v], tuple(sorted(tuple(sorted(deg[w] for w in f if w != v))
+                                      for f in edges if v in f)))
+            for v in deg}
+
+
+def deletion_ties(edges) -> list[Triple]:
+    """The edges with the least sorted endpoint-degree triple, and among
+    them the least sorted triple of vertex keys: the deletion edge is the
+    one of these with the last canonical image."""
+    keys = vertex_keys(edges)
+
+    def key(f):
+        return sorted(keys[v][0] for v in f), sorted(keys[v] for v in f)
+
+    least = min(map(key, edges))
+    return [f for f in edges if key(f) == least]
 
 
 def reference_accept(child: _Node, e: Triple) -> bool:
     """Is e in the Aut(child)-orbit of the child's deletion edge?"""
-    degs = child.degs
-    key = sorted((degs[e[0]], degs[e[1]], degs[e[2]]))
-    ties = []
-    for f in child.edges:
-        k = sorted((degs[f[0]], degs[f[1]], degs[f[2]]))
-        if k < key:
-            return False
-        if k == key:
-            ties.append(f)
+    ties = deletion_ties(child.edges)
+    if e not in ties:
+        return False
     if len(ties) == 1:
         return True
     canon = child.canonical()
@@ -48,7 +89,7 @@ def reference_walk(max_vertices: int, crown_free: bool) -> Iterator[_Node]:
     while stack:
         node = stack.pop()
         yield node
-        candidates = _candidate_edges(node, max_vertices)
+        candidates = all_candidate_edges(node, max_vertices)
         if crown_free:
             candidates = crown_free_additions(node.edges, candidates)
         for e in _orbit_reps(candidates, node.canonical().auts):

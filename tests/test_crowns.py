@@ -19,10 +19,11 @@ from crownfree import search
 from crownfree.crowns import ColoredLinkGraph, CrownWitness, _disjoint_triple
 from crownfree.graphs import LinearThreeGraph
 from crownfree.lemmas import plant_642_instance
-from crownfree.search import _candidate_edges, _extend, _root, generate_all, random_linear_graph
+from crownfree.search import _extend, _root, generate_all, random_linear_graph
 
 from conftest import CROWN_EDGES, ag23
 from crown_reference import has_crown_containing
+from search_reference import all_candidate_edges
 
 
 def sunflower(da, db, dc):
@@ -302,7 +303,7 @@ class TestHasCrownContaining:
         decisions = []
         nodes = list(search._walk(9, crown_free=True))
         for node in nodes:
-            candidates = _candidate_edges(node, 9)
+            candidates = all_candidate_edges(node, 9)
             kept = crown_free_additions(node.edges, candidates)
             decisions.extend((node.edges, t, t not in kept) for t in candidates)
         assert len(nodes) == 125  # 124 classes and the empty root
@@ -365,7 +366,7 @@ class TestCrownFreeAdditions:
             node = _root()
             for e in H.edges:
                 node = _extend(node, e)
-            cands = _candidate_edges(node, 10)
+            cands = all_candidate_edges(node, 10)
             got = crown_free_additions(H.edges, cands)
             assert got == _reference_additions(H.edges, cands), H.edges
             hits += len(cands) - len(got)

@@ -34,7 +34,7 @@ from crownfree.search import (
     generate_all,
 )
 
-from search_reference import reference_walk
+from search_reference import all_candidate_edges, deletion_ties, reference_walk
 
 
 # Certificates of exact_ex(9) and exact_ex(10): the canonical witnesses,
@@ -51,6 +51,21 @@ WITNESSES_10 = [
      (4, 6, 7), (5, 6, 9)),
     ((0, 1, 6), (0, 2, 7), (1, 2, 8), (1, 7, 9), (2, 6, 9), (3, 4, 6), (3, 5, 7), (3, 8, 9), (4, 5, 9),
      (4, 7, 8), (5, 6, 8)),
+]
+WITNESSES_11 = [
+    ((0, 1, 2), (0, 3, 8), (0, 9, 10), (1, 3, 9), (1, 8, 10), (2, 3, 10), (2, 8, 9), (4, 5, 8), (4, 6, 9),
+     (4, 7, 10), (5, 6, 10), (5, 7, 9), (6, 7, 8)),
+    ((0, 1, 8), (0, 2, 9), (0, 3, 10), (1, 2, 10), (1, 3, 9), (2, 3, 8), (4, 5, 8), (4, 6, 9), (4, 7, 10),
+     (5, 6, 10), (5, 7, 9), (6, 7, 8), (8, 9, 10)),
+]
+WITNESSES_12 = [
+    ((0, 1, 2), (0, 3, 4), (1, 3, 10), (1, 4, 11), (2, 3, 11), (2, 4, 10), (5, 6, 7), (5, 8, 9), (5, 10, 11),
+     (6, 8, 10), (6, 9, 11), (7, 8, 11), (7, 9, 10)),
+    *WITNESSES_11,
+    ((0, 1, 11), (0, 2, 3), (0, 4, 5), (1, 6, 7), (1, 8, 9), (2, 4, 10), (2, 5, 11), (3, 4, 11), (3, 5, 10),
+     (6, 8, 10), (6, 9, 11), (7, 8, 11), (7, 9, 10)),
+    ((0, 10, 11), (1, 2, 9), (1, 3, 10), (1, 4, 11), (2, 3, 11), (2, 4, 10), (3, 4, 9), (5, 6, 9), (5, 7, 10),
+     (5, 8, 11), (6, 7, 11), (6, 8, 10), (7, 8, 9)),
 ]
 
 
@@ -184,10 +199,23 @@ def _reference_candidates(node, max_vertices):
 
 class TestCandidateEdges:
     def test_equals_filtered_triples_to_n9(self):
+        # the full lister that the reference walk and the tests use
         nodes = [_root()] + [_node_of(H.edges) for H in generate_all(9)]
         for node in nodes:
-            assert _candidate_edges(node, 9) == _reference_candidates(node, 9), node.edges
+            assert all_candidate_edges(node, 9) == _reference_candidates(node, 9), node.edges
         assert len(nodes) == 163
+
+    def test_pruned_list_keeps_every_least_key_candidate_to_n9(self):
+        # the walk's lister skips only covered triples that fail the key
+        # test: filtering its list gives what filtering the full list gives
+        nodes = [_root()] + [_node_of(H.edges) for H in generate_all(9)]
+        skipped = 0
+        for node in nodes:
+            pruned, full = _candidate_edges(node, 9), all_candidate_edges(node, 9)
+            assert _least_key_additions(node, pruned) == _least_key_additions(node, full), node.edges
+            assert set(pruned) <= set(full), node.edges
+            skipped += len(full) - len(pruned)
+        assert skipped > 500
 
 
 class TestOrbitReps:
@@ -198,7 +226,7 @@ class TestOrbitReps:
         for H in generate_all(9):
             node = _node_of(H.edges)
             gens = node.canonical().auts
-            cands = _candidate_edges(node, 9)
+            cands = all_candidate_edges(node, 9)
             reps = _orbit_reps(cands, gens)
             assert reps == _closure_reps(cands, gens), H.edges
             split += len(reps) < len(cands)
@@ -225,7 +253,7 @@ class TestDeletionEdge:
         nodes = [_root()] + [_node_of(H.edges) for H in generate_all(9)]
         dropped = 0
         for node in nodes:
-            cands = _candidate_edges(node, 9)
+            cands = all_candidate_edges(node, 9)
             expect = []
             for e in cands:
                 degs = _extend(node, e).degs
@@ -239,9 +267,10 @@ class TestDeletionEdge:
     def test_accepted_edges_are_the_deletion_orbit_in_any_labelling(self):
         # For each class and two relabellings of it, _accept must take
         # exactly the Aut-orbit of the documented deletion edge: least
-        # sorted endpoint-degree triple, ties to the last canonical image.
-        # n = 9 is the least n where a least class can hold two orbits, so
-        # only from there can a labelling-dependent tie-break show.
+        # sorted endpoint-degree triple, then least sorted triple of vertex
+        # keys, ties to the last canonical image.  n = 9 is the least n
+        # where a least class can hold two orbits, so only from there can
+        # a labelling-dependent tie-break show.
         rng = random.Random(9)
         split = 0
         for H in generate_all(9):
@@ -258,12 +287,7 @@ class TestDeletionEdge:
                 accepted = {e for e in edges
                             if _least_key_additions(_parent_of(edges, e), [e]) and _accept(child, e)}
                 canon = canonical_edges(9, edges)
-                deg = {}
-                for e in edges:
-                    for v in e:
-                        deg[v] = deg.get(v, 0) + 1
-                least = min(sorted(deg[v] for v in e) for e in edges)
-                ties = [e for e in edges if sorted(deg[v] for v in e) == least]
+                ties = deletion_ties(edges)
                 d = max(ties, key=lambda e: sorted(canon.perm[v] for v in e))
                 assert accepted == _orbit(d, canon.auts), edges
                 split += len(accepted) < len(ties)
@@ -271,7 +295,32 @@ class TestDeletionEdge:
                     tuple(sorted(canon.perm[v] for v in e)) for e in accepted
                 ))
             assert images[0] == images[1] == images[2], H.edges
-        assert split == 3 * 13
+        # 6 classes keep two orbits in their least class after the vertex
+        # keys (13 on the endpoint-degree triple alone)
+        assert split == 3 * 6
+
+
+class TestParentOrbitCut:
+    def test_expanded_candidates_are_the_orbit_reps_to_n10(self, monkeypatch):
+        # a parent whose candidates all differ in their vertex keys is not
+        # labelled; the children the walk builds must still be exactly the
+        # first candidate of each Aut(H)-orbit
+        expanded = {}
+        real = search._extend
+
+        def recording(node, e):
+            expanded.setdefault(node.edges, []).append(e)
+            return real(node, e)
+
+        monkeypatch.setattr(search, "_extend", recording)
+        nodes = list(_walk(10, crown_free=True))
+        monkeypatch.undo()
+        unlabelled = 0
+        for node in nodes:
+            unlabelled += node.canon is None
+            cands = crown_free_additions(node.edges, _least_key_additions(node, all_candidate_edges(node, 10)))
+            assert expanded.get(node.edges, []) == _orbit_reps(cands, node.canonical().auts), node.edges
+        assert len(nodes) == 618 and unlabelled > 300
 
 
 class TestReferenceWalk:
@@ -320,6 +369,7 @@ class TestExactEx:
 
     @pytest.mark.parametrize("n,value,nodes,witnesses", [
         (9, 9, 125, WITNESSES_9), (10, 11, 618, WITNESSES_10),
+        (11, 13, 1794, WITNESSES_11), (12, 13, 3642, WITNESSES_12),
     ])
     def test_pinned_certificate(self, n, value, nodes, witnesses):
         cert = exact_ex(n)
@@ -385,7 +435,8 @@ class TestExactEx:
 
     def test_n11_canon_calls_pinned(self, monkeypatch):
         # A parent is labelled only when two candidates pass its degree and
-        # crown tests (2,164 calls when every parent was labelled); the
+        # crown tests with the same vertex keys, and a child only on a tie
+        # of both keys (2,164 calls when every parent was labelled); the
         # lower-bound gadget is not labelled.
         calls = []
         real = search.canonical_edges
@@ -396,7 +447,7 @@ class TestExactEx:
 
         monkeypatch.setattr(search, "canonical_edges", counting)
         cert = exact_ex(11)
-        assert (cert.nodes_explored, len(calls)) == (1794, 1265)
+        assert (cert.nodes_explored, len(calls)) == (1794, 667)
 
     def test_thread_determinism(self):
         c1 = exact_ex(9, threads=1)

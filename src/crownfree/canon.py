@@ -73,24 +73,34 @@ def canonical_form(H: LinearThreeGraph) -> CanonResult:
     return canonical_edges(H.n, H.edges)
 
 
+def _find(root: list[int], x: int) -> int:
+    """Root of x in the union-find root, halving the path on the way."""
+    while root[x] != x:
+        root[x] = root[root[x]]
+        x = root[x]
+    return x
+
+
+def _join(root: list[int], g: Sequence[int]) -> None:
+    """Join each v with g[v] in the union-find root; the least point of
+    each class stays its root."""
+    for v, w in enumerate(g):
+        if v != w:
+            a, b = _find(root, v), _find(root, w)
+            if a < b:
+                root[b] = a
+            elif b < a:
+                root[a] = b
+
+
 def _orbit_roots(k: int, gens: Sequence[Sequence[int]]) -> list[int]:
     """Orbit representative of each of 0..k-1 under the group of gens,
     each a permutation of 0..k-1 as a sequence; the representative is the
     least point of the orbit."""
     root = list(range(k))
-
-    def find(x: int) -> int:
-        while root[x] != x:
-            root[x] = root[root[x]]
-            x = root[x]
-        return x
-
     for g in gens:
-        for v in range(k):
-            a, b = find(v), find(g[v])
-            if a != b:
-                root[max(a, b)] = min(a, b)
-    return [find(v) for v in range(k)]
+        _join(root, g)
+    return [_find(root, v) for v in range(k)]
 
 
 def canonical_edges(n: int, edges: Sequence[Triple]) -> CanonResult:
@@ -204,16 +214,18 @@ def canonical_edges(n: int, edges: Sequence[Triple]) -> CanonResult:
         e = end[s]
         target = lab[s:e]
         explored: list[int] = []
-        # orbits under the generators that fix prefix, recomputed whenever
-        # gens has grown; the identity until the first generator
-        roots = list(range(k))
+        # orbits under the generators that fix prefix: a union-find that
+        # joins in only the generators found since it was last read
+        root = list(range(k))
         ngens = 0
         for v in target:
             if explored:
-                if ngens != len(gens):
-                    roots = _orbit_roots(k, [g for g in gens if all(g[u] == u for u in prefix)])
-                    ngens = len(gens)
-                if any(roots[v] == roots[u] for u in explored):
+                for g in gens[ngens:]:
+                    if all(g[u] == u for u in prefix):
+                        _join(root, g)
+                ngens = len(gens)
+                r = _find(root, v)
+                if any(_find(root, u) == r for u in explored):
                     continue
             explored.append(v)
             # individualize v: the cell becomes [v], rest

@@ -3,7 +3,10 @@
 A crown is a base edge plus three pairwise disjoint jewels, one through
 each base vertex.  Equivalently, the 3-edge-colored link graph of the base
 has a rainbow matching, so find_crown_with_base does not validate the
-witness it builds from one.  A brute-force oracle, the definition read
+witness it builds from one.  For growing a graph edge by edge,
+CrownTables answers whether a triple would lie on a crown, and is carried
+from a graph to the graph plus one edge by rebuilding only the entries
+that edge changes.  A brute-force oracle, the definition read
 base by base on plain sets, is kept alongside as an independent check.
 It takes about 0.003, 0.008 and 0.02 s on the lower-bound gadget at
 n = 43, 63 and 103 (one core of a 2-vCPU host, Python 3.11).
@@ -116,7 +119,7 @@ def _pair_masks(pairs) -> list[int]:
     return [(1 << p[0]) | (1 << p[1]) for p in pairs]
 
 
-def _disjoint_triple(la: list[int], lb: list[int], lc: list[int]) -> tuple[int, int, int] | None:
+def _disjoint_triple(la: Sequence[int], lb: Sequence[int], lc: Sequence[int]) -> tuple[int, int, int] | None:
     """First index triple (i, j, k) in product order for which the masks
     la[i], lb[j] and lc[k] are pairwise disjoint, or None.  Every crown
     test asks this of the masks of three colour classes."""
@@ -161,55 +164,110 @@ def find_crown_with_base(H: LinearThreeGraph, e: int) -> CrownWitness | None:
     return CrownWitness(e, tuple(cls[i][2] for cls, i in zip(classes, hit)))
 
 
+class CrownTables:
+    """The bitmask tables of one linear graph that say, for a triple t
+    sharing at most one vertex with each edge, whether adding t makes a
+    crown through t.  Per vertex v:
+    - at[v]: the masks of the edges through v.  t is the base of a crown
+      when three of them, one at each vertex of t, are pairwise disjoint.
+    - nbrs[v]: the mask of the vertices that share an edge with v, so a
+      pair {u, v} is free iff bit u of nbrs[v] is clear.
+    - jewels[v]: for each base f = {v, y, z}, the unions g | h of the
+      disjoint pairs of edges g at y and h at z.  g = f or h = f would
+      meet the other in a vertex of f, so disjointness alone keeps f out.
+      t, which contains v, is the jewel at v of a crown when one of these
+      unions misses t.
+    Entries run to the largest covered label plus three, the labels a new
+    triple can take; a table is never changed once built.  extend(t)
+    gives the tables of the graph plus t, copying only the entries that t
+    changes, so over a walk each union is built once, when the last of its
+    three edges is added.  Adding t to a crown-free graph creates a crown
+    iff one goes through t, so free(t) is how the search filters a node's
+    candidates.
+    """
+
+    __slots__ = ("at", "nbrs", "jewels")
+
+    def __init__(self, at: list[tuple[int, ...]], nbrs: list[int], jewels: list[tuple[int, ...]]):
+        self.at = at
+        self.nbrs = nbrs
+        self.jewels = jewels
+
+    @classmethod
+    def of(cls, edges: Sequence[Triple], size: int = 3) -> CrownTables:
+        """The tables of edges, with entries for at least labels below size."""
+        tables = cls([()] * size, [0] * size, [()] * size)
+        for f in edges:
+            tables = tables.extend(f)
+        return tables
+
+    def extend(self, t: Triple) -> CrownTables:
+        """The tables of the graph plus t, for a sorted t that shares at
+        most one vertex with each edge."""
+        a, b, c = t
+        ba, bb, bc = 1 << a, 1 << b, 1 << c
+        tm = ba | bb | bc
+        at, nbrs, jewels = self.at[:], self.nbrs[:], self.jewels[:]
+        grow = c + 4 - len(at)
+        if grow > 0:
+            at += [()] * grow
+            nbrs += [0] * grow
+            jewels += [()] * grow
+        at_a, at_b, at_c = at[a], at[b], at[c]
+        # t at the vertex v of a base f = {v, x, z}: the unions t | h with h
+        # at z go to x, and those with h at x go to z.  x and z are not in
+        # t, so their edge lists do not change, and f itself meets t.
+        new: dict[int, list[int]] = {}
+        for v, bv, at_v in ((a, ba, at_a), (b, bb, at_b), (c, bc, at_c)):
+            for mf in at_v:
+                rest = mf ^ bv
+                x = (rest & -rest).bit_length() - 1
+                z = rest.bit_length() - 1
+                for mh in at[z]:
+                    if not mh & tm:
+                        new.setdefault(x, []).append(tm | mh)
+                for mh in at[x]:
+                    if not mh & tm:
+                        new.setdefault(z, []).append(tm | mh)
+        for v, us in new.items():
+            jewels[v] += tuple(us)
+        # t as the base, from the edges before t
+        if at_b and at_c:
+            jewels[a] += tuple([mg | mh for mg in at_b for mh in at_c if not mg & mh])
+        if at_a:
+            if at_c:
+                jewels[b] += tuple([mg | mh for mg in at_a for mh in at_c if not mg & mh])
+            if at_b:
+                jewels[c] += tuple([mg | mh for mg in at_a for mh in at_b if not mg & mh])
+        at[a], at[b], at[c] = at_a + (tm,), at_b + (tm,), at_c + (tm,)
+        nbrs[a] |= bb | bc
+        nbrs[b] |= ba | bc
+        nbrs[c] |= ba | bb
+        return CrownTables(at, nbrs, jewels)
+
+    def free(self, t: Triple) -> bool:
+        """True iff adding t, whose labels have entries, makes no crown
+        through t."""
+        a, b, c = t
+        tm = (1 << a) | (1 << b) | (1 << c)
+        jewels = self.jewels
+        for u in jewels[a] + jewels[b] + jewels[c]:
+            if not u & tm:
+                return False  # t is a jewel
+        at = self.at
+        return _disjoint_triple(at[a], at[b], at[c]) is None  # t is no base
+
+
 def crown_free_additions(edges: Sequence[Triple], candidates: Sequence[Triple]) -> list[Triple]:
     """The candidates t for which edges + [t] has no crown through t, in
-    candidate order.
+    candidate order: CrownTables built over edges, then free(t).
 
     Each candidate must share at most one vertex with every edge, so that
     edges + [t] is linear.  Each candidate gets the answer the one-edge
-    reference has_crown_containing in tests/crown_reference.py gives, but
-    the bitmask tables are built once for all the candidates:
-    - the masks of the edges at each vertex: t is the base of a crown
-      when three of them, one at each vertex of t, are pairwise disjoint;
-    - for each base f = {x, y, z} in edges and each x in f that some
-      candidate uses, the unions g | h of the disjoint pairs of edges g
-      at y and h at z, both other than f: t, which contains x, is the
-      jewel at x of a crown when one of these unions misses t.
-    Adding t to a crown-free graph creates a crown iff one goes through t,
-    which is how the search filters a node's candidates.
+    reference has_crown_containing in tests/crown_reference.py gives.
     """
-    if len(edges) < 3:
-        return list(candidates)
-    size = 1 + max(max(map(max, edges)), max(map(max, candidates), default=0))
-    at: list[list[int]] = [[] for _ in range(size)]
-    for f in edges:
-        mf = (1 << f[0]) | (1 << f[1]) | (1 << f[2])
-        for v in f:
-            at[v].append(mf)
-    # g = f or h = f would meet the other in a vertex of f, so the
-    # disjointness test alone keeps f out of the unions; they are built
-    # only at the vertices some candidate uses
-    used = {v for t in candidates for v in t}
-    jewels: list[list[int]] = [[] for _ in range(size)]
-    for x, y, z in edges:
-        at_x, at_y, at_z = at[x], at[y], at[z]
-        if x in used:
-            jewels[x] += [mg | mh for mg in at_y for mh in at_z if not mg & mh]
-        if y in used:
-            jewels[y] += [mg | mh for mg in at_x for mh in at_z if not mg & mh]
-        if z in used:
-            jewels[z] += [mg | mh for mg in at_x for mh in at_y if not mg & mh]
-    out: list[Triple] = []
-    for t in candidates:
-        a, b, c = t
-        tm = (1 << a) | (1 << b) | (1 << c)
-        for u in jewels[a] + jewels[b] + jewels[c]:
-            if not u & tm:
-                break  # t is a jewel
-        else:
-            if _disjoint_triple(at[a], at[b], at[c]) is None:  # t is no base
-                out.append(t)
-    return out
+    tables = CrownTables.of(edges, 1 + max(map(max, candidates), default=0))
+    return [t for t in candidates if tables.free(t)]
 
 
 def find_crown(H: LinearThreeGraph) -> CrownWitness | None:

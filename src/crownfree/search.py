@@ -11,19 +11,24 @@ canonical labelling (the last canonical image), as McKay and Piperno
 (J. Symb. Comput. 60, 2014) use cheap invariants before individualising.
 Expanding a node H runs five steps, cheapest first.  The candidate
 additions are listed, less the covered triples that miss a least-degree
-vertex, which cannot have the least key.  Those whose key in H+e is not
+vertex, which cannot have the least key; free pairs are read off the
+neighbour masks of H's crown tables.  Those whose key in H+e is not
 least among its edges are dropped, read off H's degrees without building
-H+e (_least_key_additions).  Crown-free runs then drop, in one
-crowns.crown_free_additions call per parent, the candidates that would
-make a crown through the new edge; the parent is crown-free, so that is
-exactly when the child has a crown.  If at least two candidates are left
-and two of them have the same sorted triple of H's vertex keys, H is
-labelled and they are cut to one per Aut(H)-orbit, the first in
-candidate order; if every candidate's triple differs, each is its own
-orbit and the cut would keep them all.  That cut needs the candidates to
-be a union of orbits, and both filters keep one: whether e's key is
-least in H+e, and whether H+e has a crown through e, depend only on the
-isomorphism type of the pair (H, e), which an automorphism of H fixes.
+H+e (_least_key_additions).  Crown-free runs then drop the candidates e
+for which H's tables say not free(e), those that would make a crown
+through the new edge; the parent is crown-free, so that is exactly when
+the child has a crown.  The tables (crowns.CrownTables) are not rebuilt
+per node: a child holds its parent's and its own edge, and extends them
+when it is expanded, which rebuilds only the entries at the edge's three
+vertices and at the other two vertices of each edge through them.  If
+at least two candidates are left and two of them have the same sorted
+triple of H's vertex keys, H is labelled and they are cut to one per
+Aut(H)-orbit, the first in candidate order; if every candidate's triple
+differs, each is its own orbit and the cut would keep them all.  That
+cut needs the candidates to be a union of orbits, and both filters keep
+one: whether e's key is least in H+e, and whether H+e has a crown
+through e, depend only on the isomorphism type of the pair (H, e),
+which an automorphism of H fixes.
 Last a child node H+e is built for each candidate left, and a tie on its
 keys is broken as above.  Most parents need no labelling and most
 children none either.  Each class is then reached exactly once and
@@ -50,7 +55,7 @@ from itertools import combinations
 from typing import Iterator, Sequence
 
 from .canon import CanonResult, _orbit_roots, canonical_edges
-from .crowns import crown_free_additions, crown_oracle, find_crown
+from .crowns import CrownTables, crown_oracle, find_crown
 from .graphs import LinearThreeGraph, Triple, validate_linear
 
 
@@ -87,22 +92,39 @@ class ExtremalCertificate:
 
 class _Node:
     """Search node: edges plus cheap derived state.  Everything is fixed
-    at construction except canon, which canonical() fills in lazily: when
-    _accept has to break a tie, when two candidates left to cut to orbits
-    share their vertex keys, or when the node is kept as a witness."""
+    at construction except two fields filled in lazily.  canonical()
+    labels the node when _accept has to break a tie, when two candidates
+    left to cut to orbits share their vertex keys, or when the node is
+    kept as a witness.  tables() builds its crowns.CrownTables when the
+    node is expanded: a child keeps its parent's tables and its own edge,
+    and extends them then; a node built without a parent folds its edges
+    into empty tables."""
 
-    __slots__ = ("edges", "cov", "degs", "canon")
+    __slots__ = ("edges", "cov", "degs", "canon", "_tables", "_up")
 
-    def __init__(self, edges: tuple[Triple, ...], cov: int, degs: tuple[int, ...]):
+    def __init__(self, edges: tuple[Triple, ...], cov: int, degs: tuple[int, ...],
+                 up: tuple[CrownTables, Triple] | None = None):
         self.edges = edges
         self.cov = cov
         self.degs = degs
         self.canon: CanonResult | None = None
+        self._tables: CrownTables | None = None
+        self._up = up
 
     def canonical(self) -> CanonResult:
         if self.canon is None:
             self.canon = canonical_edges(max(self.cov, 1), self.edges)
         return self.canon
+
+    def tables(self) -> CrownTables:
+        if self._tables is None:
+            if self._up is None:
+                self._tables = CrownTables.of(self.edges, self.cov + 3)
+            else:
+                parent, e = self._up
+                self._tables = parent.extend(e)
+                self._up = None
+        return self._tables
 
     def graph(self) -> LinearThreeGraph:
         return LinearThreeGraph(self.cov or 1, self.edges)
@@ -113,19 +135,20 @@ def _root() -> _Node:
 
 
 def _extend(node: _Node, e: Triple) -> _Node:
-    """Child node for edge e."""
+    """Child node for edge e, holding node's tables to extend by e."""
     cov = max(node.cov, e[2] + 1)
     edges = tuple(sorted(node.edges + (e,)))
     degs = list(node.degs) + [0] * (cov - node.cov)
     for v in e:
         degs[v] += 1
-    return _Node(edges, cov, tuple(degs))
+    return _Node(edges, cov, tuple(degs), (node.tables(), e))
 
 
 def _candidate_edges(node: _Node, max_vertices: int) -> list[Triple]:
     """Feasible additions in lexicographic order, free pairs only and new
     vertices taken consecutively, less the covered triples that cannot
-    pass _least_key_additions.
+    pass _least_key_additions.  A pair {u, v} is free iff bit v of the
+    neighbour mask nbrs[u] of the node's tables is clear.
 
     Let u be a covered vertex of least degree δ (every covered vertex is
     on an edge).  A covered triple e missing u has key at least
@@ -134,7 +157,7 @@ def _candidate_edges(node: _Node, max_vertices: int) -> list[Triple]:
     every least-degree covered vertex, and none when there are more than
     three.  The triples through new vertices are all listed."""
     cov = node.cov
-    pairs = {p for a, b, c in node.edges for p in ((a, b), (a, c), (b, c))}
+    nbrs = node.tables().nbrs
     out: list[Triple] = []
     if node.edges:
         degs = node.degs
@@ -142,16 +165,17 @@ def _candidate_edges(node: _Node, max_vertices: int) -> list[Triple]:
         low = [v for v in range(cov) if degs[v] == least]
         if len(low) <= 3:
             # a vertex can join low only if it shares no edge with them
-            lowset = set(low)
-            near = {v for f in node.edges if not lowset.isdisjoint(f) for v in f}
-            rest = [x for x in range(cov) if x not in near and x not in lowset]
+            near = 0
+            for v in low:
+                near |= nbrs[v] | 1 << v
+            rest = [x for x in range(cov) if not near >> x & 1]
             for r in combinations(rest, 3 - len(low)):
                 a, b, c = sorted(low + list(r))
-                if (a, b) not in pairs and (a, c) not in pairs and (b, c) not in pairs:
+                if not nbrs[a] & (1 << b | 1 << c) and not nbrs[b] >> c & 1:
                     out.append((a, b, c))
             out.sort()
     if cov + 1 <= max_vertices:
-        out += [(a, b, cov) for a, b in combinations(range(cov), 2) if (a, b) not in pairs]
+        out += [(a, b, cov) for a, b in combinations(range(cov), 2) if not nbrs[a] >> b & 1]
     if cov + 2 <= max_vertices:
         out += [(i, cov, cov + 1) for i in range(cov)]
     if cov + 3 <= max_vertices:
@@ -289,17 +313,20 @@ def _accept(child: _Node, e: Triple) -> bool:
 def _walk(max_vertices: int, crown_free: bool) -> Iterator[_Node]:
     """The one depth-first traversal: every node, root first, one per
     isomorphism class, each yielded before it is expanded.  Expansion runs
-    the steps of the module docstring; the crown cut applies only if
-    crown_free.  A node is labelled for its orbits only if two candidates
-    are left with the same sorted triple of _vertex_keys, and a child node
-    is built only for an orbit representative."""
+    the steps of the module docstring; the crown cut, free(e) on the
+    node's tables, applies only if crown_free.  A node is labelled for its
+    orbits only if two candidates are left with the same sorted triple of
+    _vertex_keys, and a child node, which extends the node's tables only
+    when it is expanded in turn, is built only for an orbit
+    representative."""
     stack = [_root()]
     while stack:
         node = stack.pop()
         yield node
         candidates = _least_key_additions(node, _candidate_edges(node, max_vertices))
         if crown_free and candidates:
-            candidates = crown_free_additions(node.edges, candidates)
+            tables = node.tables()
+            candidates = [t for t in candidates if tables.free(t)]
         if len(candidates) > 1:
             vk = _vertex_keys(node)
             keys = {tuple(sorted((vk[a], vk[b], vk[c]))) for a, b, c in candidates}

@@ -2,7 +2,8 @@
 
 `has_crown_containing` decides whether a crown uses a given edge, from the
 edge list alone.  It is the slow, one-edge form that
-`crownfree.crowns.crown_free_additions` must agree with on every candidate.
+`crownfree.crowns.CrownTables.free` and `crown_free_additions` must agree
+with on every candidate.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ def has_crown_containing(edges: Sequence[Triple], e: Triple) -> bool:
     bitmasks, into the incidence lists of e's three vertices and the list
     of edges disjoint from e; nothing else is built.  Adding e to a
     crown-free graph creates a crown iff this holds.  It shares no code
-    with crownfree.crowns.crown_free_additions, the batch form the search
-    uses, and is the reference the tests hold that to.
+    with crownfree.crowns.CrownTables, the tables the search carries from
+    parent to child, and is the reference the tests hold them to.
     """
     if len(edges) < 4:
         return False

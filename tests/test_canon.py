@@ -10,7 +10,7 @@ import pytest
 from crownfree import validate_linear
 from crownfree.canon import canonical_edges
 from crownfree.lemmas import _matchings4
-from crownfree.search import generate_all, random_linear_graph
+from crownfree.search import generate_all, lower_bound_construction, random_linear_graph
 
 from canon_reference import closure, is_automorphism, reference_canonical_edges
 from conftest import CROWN_EDGES, FANO_EDGES, ag23
@@ -130,6 +130,21 @@ class TestAgainstReference:
     def test_empty_graph(self):
         res = canonical_edges(3, ())
         assert res.edges == () and res.auts == () and res.perm == (0, 1, 2)
+
+
+@pytest.mark.parametrize("n", [43, 103])
+def test_gadget_labelling_is_invariant(n):
+    """The lower-bound gadget and a seeded relabelling of it get the same
+    canonical edges.  Its group is large and its generators are found
+    late in a deep tree, so each tree node's union-find takes in many of
+    them after it was first read."""
+    edges = lower_bound_construction(n).edges
+    moved = relabelled(edges, n, random.Random(n))
+    results = [canonical_edges(n, edges), canonical_edges(n, moved)]
+    assert results[0].edges == results[1].edges
+    for res, es in zip(results, (edges, moved)):
+        assert sorted(tuple(sorted(res.perm[v] for v in e)) for e in es) == list(res.edges)
+        assert res.auts and all(is_automorphism(g, es) for g in res.auts)
 
 
 def count_labelled(n):

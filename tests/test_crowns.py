@@ -16,7 +16,7 @@ from crownfree import (
     validate_linear,
 )
 from crownfree import search
-from crownfree.crowns import ColoredLinkGraph, CrownWitness, _disjoint_triple
+from crownfree.crowns import ColoredLinkGraph, CrownTables, CrownWitness, _disjoint_triple
 from crownfree.graphs import LinearThreeGraph
 from crownfree.lemmas import plant_642_instance
 from crownfree.search import _extend, _root, generate_all, random_linear_graph
@@ -396,3 +396,71 @@ class TestCrownFreeAdditions:
             hits += len(cands) - len(got)
             misses += len(got)
         assert hits > 5000 and misses > 500
+
+
+def _same_tables(x, y):
+    """Equal edge masks, neighbour masks and sorted jewel unions at every
+    label, an entry past the end of one table counting as empty."""
+    size = max(len(x.at), len(y.at))
+
+    def pad(xs, empty):
+        return list(xs) + [empty] * (size - len(xs))
+
+    return (
+        [sorted(m) for m in pad(x.at, ())] == [sorted(m) for m in pad(y.at, ())]
+        and pad(x.nbrs, 0) == pad(y.nbrs, 0)
+        and [sorted(u) for u in pad(x.jewels, ())] == [sorted(u) for u in pad(y.jewels, ())]
+    )
+
+
+class TestCrownTables:
+    """CrownTables carried from edge to edge, against has_crown_containing
+    and against tables rebuilt from the edge list."""
+
+    def test_random_crown_free_growth(self):
+        # seeded growths as in TestCrownFreeAdditions: at every step, every
+        # free triple t of the graph so far; at the end the neighbour masks,
+        # and the carried tables against tables folded over the edges in
+        # other orders
+        rng = random.Random(2022)
+        hits = misses = 0
+        for _ in range(100):
+            n = rng.randint(9, 13)
+            edges, pairs = [], set()
+            tables = CrownTables.of([], n)
+            for _ in range(60):
+                t = tuple(sorted(rng.sample(range(n), 3)))
+                ps = {(t[0], t[1]), (t[0], t[2]), (t[1], t[2])}
+                if ps & pairs:
+                    continue
+                for s in _free_triples(edges, n):
+                    got = tables.free(s)
+                    assert got == (not has_crown_containing(edges + [s], s)), (edges, s)
+                    hits += not got
+                    misses += got
+                if tables.free(t):
+                    edges, pairs = edges + [t], pairs | ps
+                    tables = tables.extend(t)
+            for v in range(n):
+                assert tables.nbrs[v] == sum({1 << u for f in edges if v in f for u in f if u != v})
+            shuffled = edges[:]
+            rng.shuffle(shuffled)
+            assert _same_tables(tables, CrownTables.of(shuffled)), edges
+            assert _same_tables(tables, CrownTables.of(sorted(edges), n)), edges
+        assert hits > 20000 and misses > 40000
+
+    def test_walk_tables_equal_rebuilt_to_n10(self):
+        # each node of the crown-free walk extends its parent's tables by
+        # its own edge; those must be the tables of its edge list
+        nodes = list(search._walk(10, crown_free=True))
+        for node in nodes:
+            assert _same_tables(node.tables(), CrownTables.of(node.edges)), node.edges
+        assert len(nodes) == 618
+
+    def test_entries_for_three_new_labels(self):
+        # a triple on the next three labels has entries, and is free
+        tables = CrownTables.of(CROWN_EDGES[1:])
+        top = max(map(max, CROWN_EDGES))
+        assert len(tables.at) == top + 4
+        assert tables.free((top + 1, top + 2, top + 3))
+        assert not tables.free(CROWN_EDGES[0])

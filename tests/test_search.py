@@ -37,7 +37,7 @@ from crownfree.search import (
 from search_reference import all_candidate_edges, deletion_ties, reference_walk
 
 
-# Certificates of exact_ex(9) and exact_ex(10): the canonical witnesses,
+# Certificates of exact_ex(9) to exact_ex(13): the canonical witnesses,
 # pinned literally so that a canon change that reorders cells shows here.
 WITNESSES_9 = [
     ((0, 1, 2), (0, 3, 8), (1, 3, 4), (1, 5, 8), (2, 5, 6), (2, 7, 8), (3, 6, 7), (4, 5, 7), (4, 6, 8)),
@@ -66,6 +66,12 @@ WITNESSES_12 = [
      (6, 8, 10), (6, 9, 11), (7, 8, 11), (7, 9, 10)),
     ((0, 10, 11), (1, 2, 9), (1, 3, 10), (1, 4, 11), (2, 3, 11), (2, 4, 10), (3, 4, 9), (5, 6, 9), (5, 7, 10),
      (5, 8, 11), (6, 7, 11), (6, 8, 10), (7, 8, 9)),
+]
+WITNESSES_13 = [
+    ((0, 1, 2), (0, 3, 4), (0, 5, 12), (1, 3, 5), (1, 4, 12), (2, 3, 12), (2, 4, 5), (6, 7, 8), (6, 9, 10),
+     (6, 11, 12), (7, 9, 11), (7, 10, 12), (8, 9, 12), (8, 10, 11)),
+    ((0, 10, 12), (1, 11, 12), (2, 3, 10), (2, 4, 11), (2, 5, 12), (3, 4, 12), (3, 5, 11), (4, 5, 10),
+     (6, 7, 10), (6, 8, 11), (6, 9, 12), (7, 8, 12), (7, 9, 11), (8, 9, 10)),
 ]
 
 
@@ -370,6 +376,7 @@ class TestExactEx:
     @pytest.mark.parametrize("n,value,nodes,witnesses", [
         (9, 9, 125, WITNESSES_9), (10, 11, 618, WITNESSES_10),
         (11, 13, 1794, WITNESSES_11), (12, 13, 3642, WITNESSES_12),
+        (13, 14, 7246, WITNESSES_13),
     ])
     def test_pinned_certificate(self, n, value, nodes, witnesses):
         cert = exact_ex(n)

@@ -10,7 +10,6 @@ from .canon import CanonResult, canonical_form
 from .crowns import (
     ColoredLinkGraph,
     CrownWitness,
-    crown_free_additions,
     crown_oracle,
     find_crown,
     find_crown_with_base,

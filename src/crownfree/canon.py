@@ -7,9 +7,9 @@ canonical form; the tree itself is an isomorphism invariant, so
 isomorphic graphs get identical canonical edge lists.
 
 The partition is an ordered list of cells; a vertex's color is the
-position where its cell starts.  The root is seeded with the degree
-classes in increasing degree, which is exactly the first round of
-refinement from a uniform coloring.  Refinement runs in synchronous
+position where its cell starts.  The root is the unit partition, one
+cell of all covered vertices; refinement's first round splits it into
+the degree classes in increasing degree.  Refinement runs in synchronous
 rounds: each round signs vertices by the sorted color pairs of their
 co-pairs, using the colors at the start of the round, and splits every
 cell in place by increasing signature.  Only cells next to a vertex that
@@ -243,20 +243,8 @@ def canonical_edges(n: int, edges: Sequence[Triple]) -> CanonResult:
                 return jump
         return None
 
-    # the root: degree classes in increasing degree, which is the first
-    # round of refinement from a uniform coloring
-    deg = [len(cp) for cp in copairs]
-    lab = sorted(range(k), key=deg.__getitem__)
-    col = [0] * k
-    end = [0] * k
-    s = 0
-    for i, v in enumerate(lab):
-        if deg[v] != deg[lab[s]]:
-            end[s] = i
-            s = i
-        col[v] = s
-    end[s] = k
-    dfs(lab, col, end, range(k), ())
+    # the root: the unit partition, one cell of all k vertices
+    dfs(list(range(k)), [0] * k, [k] + [0] * (k - 1), range(k), ())
     assert best_img is not None
 
     auts = tuple(gens)

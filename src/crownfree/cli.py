@@ -216,9 +216,10 @@ def run(argv: list[str]) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    # LinearityError is a ValueError; an n too large to index a list is an OverflowError
-    except (ValueError, OverflowError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    # LinearityError is a ValueError; an n too large to index a list is an
+    # OverflowError, and one too large to allocate a list of is a MemoryError
+    except (ValueError, OverflowError, MemoryError, OSError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -258,18 +258,6 @@ class CrownTables:
         return _disjoint_triple(at[a], at[b], at[c]) is None  # t is no base
 
 
-def crown_free_additions(edges: Sequence[Triple], candidates: Sequence[Triple]) -> list[Triple]:
-    """The candidates t for which edges + [t] has no crown through t, in
-    candidate order: CrownTables built over edges, then free(t).
-
-    Each candidate must share at most one vertex with every edge, so that
-    edges + [t] is linear.  Each candidate gets the answer the one-edge
-    reference has_crown_containing in tests/crown_reference.py gives.
-    """
-    tables = CrownTables.of(edges, 1 + max(map(max, candidates), default=0))
-    return [t for t in candidates if tables.free(t)]
-
-
 def find_crown(H: LinearThreeGraph) -> CrownWitness | None:
     """First crown witness scanning bases in edge-id order; None iff crown-free."""
     if len(H.edges) < 4:

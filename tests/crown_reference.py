@@ -2,8 +2,8 @@
 
 `has_crown_containing` decides whether a crown uses a given edge, from the
 edge list alone.  It is the slow, one-edge form that
-`crownfree.crowns.CrownTables.free` and `crown_free_additions` must agree
-with on every candidate.
+`crownfree.crowns.CrownTables.free` must agree with on every candidate,
+and the crown test of the reference walk in `search_reference.py`.
 """
 
 from __future__ import annotations

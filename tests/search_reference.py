@@ -7,7 +7,10 @@ Aut(H)-orbit, and only then building every representative's child and
 testing it in full with `reference_accept`: least sorted endpoint-degree
 triple among the child's edges, then least sorted triple of vertex keys
 (`vertex_keys`), ties to the last canonical image.  Every node is labelled
-and every representative's child is built.  `crownfree.search._walk` lists
+and every representative's child is built.  The crown test is the one-edge
+reference `crown_reference.has_crown_containing`, read off the edge list,
+so this walk shares no crown code with the `crownfree.crowns.CrownTables`
+that `_walk` carries from parent to child.  `crownfree.search._walk` lists
 fewer candidates, runs the cheap degree test on the parent first, labels a
 parent only when two candidates left share their vertex keys, and labels a
 child only on a tie of both keys; it must yield the same nodes in the same
@@ -20,9 +23,10 @@ from itertools import combinations
 from typing import Iterator
 
 from crownfree.canon import _orbit_roots
-from crownfree.crowns import crown_free_additions
 from crownfree.graphs import Triple
 from crownfree.search import _extend, _index_perms, _Node, _orbit_reps, _root
+
+from crown_reference import has_crown_containing
 
 
 def all_candidate_edges(node: _Node, max_vertices: int) -> list[Triple]:
@@ -91,7 +95,8 @@ def reference_walk(max_vertices: int, crown_free: bool) -> Iterator[_Node]:
         yield node
         candidates = all_candidate_edges(node, max_vertices)
         if crown_free:
-            candidates = crown_free_additions(node.edges, candidates)
+            candidates = [t for t in candidates
+                          if not has_crown_containing(node.edges + (t,), t)]
         for e in _orbit_reps(candidates, node.canonical().auts):
             child = _extend(node, e)
             if reference_accept(child, e):

@@ -268,6 +268,14 @@ class TestDischarge:
         assert run(["discharge", str(p)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_n_too_large_to_allocate_a_degree_list(self, tmp_path, capsys):
+        # 10**18 indexes a list, but its 8 EB fail at once; a smaller n
+        # could really allocate
+        p = tmp_path / "g.json"
+        p.write_text(json.dumps({"n": 10**18, "edges": []}))
+        assert run(["discharge", str(p)]) == 1
+        assert capsys.readouterr().err == "error: MemoryError\n"
+
 
 class TestLemmas:
     def test_order11_text(self, capsys):

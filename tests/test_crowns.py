@@ -5,7 +5,6 @@ from itertools import combinations
 import pytest
 
 from crownfree import (
-    crown_free_additions,
     crown_oracle,
     dominates,
     find_crown,
@@ -304,8 +303,8 @@ class TestHasCrownContaining:
         nodes = list(search._walk(9, crown_free=True))
         for node in nodes:
             candidates = all_candidate_edges(node, 9)
-            kept = crown_free_additions(node.edges, candidates)
-            decisions.extend((node.edges, t, t not in kept) for t in candidates)
+            tables = node.tables()
+            decisions.extend((node.edges, t, not tables.free(t)) for t in candidates)
         assert len(nodes) == 125  # 124 classes and the empty root
         assert len(decisions) > 500
         hits = 0
@@ -345,59 +344,6 @@ def _reference_additions(edges, candidates):
     return [t for t in candidates if not has_crown_containing(list(edges) + [t], t)]
 
 
-class TestCrownFreeAdditions:
-    """crown_free_additions against has_crown_containing, one candidate at
-    a time, on crown-free parents."""
-
-    def test_crown_jewels_and_base(self):
-        # each edge of the crown completes it from the other three
-        for t in CROWN_EDGES:
-            rest = [e for e in CROWN_EDGES if e != t]
-            assert crown_free_additions(rest, [t]) == []
-        assert crown_free_additions(CROWN_EDGES[1:], [(9, 10, 11)]) == [(9, 10, 11)]
-
-    def test_fewer_than_three_edges(self):
-        cands = [(0, 1, 2), (3, 4, 5)]
-        assert crown_free_additions([(0, 3, 6), (1, 4, 7)], cands) == cands
-
-    def test_every_search_node_to_n10(self):
-        hits = misses = 0
-        for H in generate_all(10, crown_free_only=True):
-            node = _root()
-            for e in H.edges:
-                node = _extend(node, e)
-            cands = all_candidate_edges(node, 10)
-            got = crown_free_additions(H.edges, cands)
-            assert got == _reference_additions(H.edges, cands), H.edges
-            hits += len(cands) - len(got)
-            misses += len(got)
-        assert hits > 2000 and misses > 5000
-
-    def test_random_crown_free_growth(self):
-        # the 200 growths of TestHasCrownContaining: every tried edge, and
-        # every free triple of the grown graph
-        rng = random.Random(2021)
-        hits = misses = 0
-        for _ in range(200):
-            n = rng.randint(9, 13)
-            edges, pairs = [], set()
-            for _ in range(60):
-                t = tuple(sorted(rng.sample(range(n), 3)))
-                ps = {(t[0], t[1]), (t[0], t[2]), (t[1], t[2])}
-                if ps & pairs:
-                    continue
-                got = crown_free_additions(edges, [t])
-                assert got == _reference_additions(edges, [t]), (edges, t)
-                if got:
-                    edges, pairs = edges + [t], pairs | ps
-            cands = _free_triples(edges, n)
-            got = crown_free_additions(edges, cands)
-            assert got == _reference_additions(edges, cands), edges
-            hits += len(cands) - len(got)
-            misses += len(got)
-        assert hits > 5000 and misses > 500
-
-
 def _same_tables(x, y):
     """Equal edge masks, neighbour masks and sorted jewel unions at every
     label, an entry past the end of one table counting as empty."""
@@ -417,11 +363,36 @@ class TestCrownTables:
     """CrownTables carried from edge to edge, against has_crown_containing
     and against tables rebuilt from the edge list."""
 
+    def test_crown_jewels_and_base(self):
+        # each edge of the crown completes it from the other three
+        for t in CROWN_EDGES:
+            rest = [e for e in CROWN_EDGES if e != t]
+            assert not CrownTables.of(rest).free(t)
+        assert CrownTables.of(CROWN_EDGES[1:]).free((9, 10, 11))
+
+    def test_fewer_than_three_edges(self):
+        tables = CrownTables.of([(0, 3, 6), (1, 4, 7)])
+        assert tables.free((0, 1, 2)) and tables.free((3, 4, 5))
+
+    def test_every_search_node_to_n10(self):
+        # the tables each node carries from the empty root, on every
+        # feasible addition, not only those the walk's degree test keeps
+        hits = misses = 0
+        for H in generate_all(10, crown_free_only=True):
+            node = _root()
+            for e in H.edges:
+                node = _extend(node, e)
+            cands = all_candidate_edges(node, 10)
+            got = [t for t in cands if node.tables().free(t)]
+            assert got == _reference_additions(H.edges, cands), H.edges
+            hits += len(cands) - len(got)
+            misses += len(got)
+        assert hits > 2000 and misses > 5000
+
     def test_random_crown_free_growth(self):
-        # seeded growths as in TestCrownFreeAdditions: at every step, every
-        # free triple t of the graph so far; at the end the neighbour masks,
-        # and the carried tables against tables folded over the edges in
-        # other orders
+        # seeded growths: at every step, every free triple t of the graph
+        # so far; at the end the neighbour masks, and the carried tables
+        # against tables folded over the edges in other orders
         rng = random.Random(2022)
         hits = misses = 0
         for _ in range(100):

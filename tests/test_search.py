@@ -19,7 +19,6 @@ from crownfree import (
 )
 from crownfree.canon import canonical_edges, canonical_form
 from crownfree.lemmas import induced_graph_of_G
-from crownfree.crowns import crown_free_additions
 from crownfree import search
 from crownfree.search import (
     RETRY_BUDGET,
@@ -91,6 +90,20 @@ CROWN_FREE_COUNTS = {
     **CLASS_COUNTS,
     9: {1: 1, 2: 2, 3: 5, 4: 10, 5: 17, 6: 29, 7: 33, 8: 22, 9: 5},
 }
+# The crown-free classes of generate_all(12, crown_free_only=True) by
+# covered vertices, then by edges: 3,641 classes in 51 cells.  A walk
+# that replaces the edge walk must reproduce it.
+CROWN_FREE_TALLY_12 = {
+    3: {1: 1},
+    5: {2: 1},
+    6: {2: 1, 3: 1, 4: 1},
+    7: {3: 2, 4: 2, 5: 2, 6: 1, 7: 1},
+    8: {3: 1, 4: 3, 5: 5, 6: 5, 7: 3, 8: 1},
+    9: {3: 1, 4: 4, 5: 10, 6: 23, 7: 29, 8: 21, 9: 5},
+    10: {4: 3, 5: 11, 6: 39, 7: 98, 8: 161, 9: 133, 10: 46, 11: 2},
+    11: {4: 1, 5: 10, 6: 40, 7: 132, 8: 305, 9: 407, 10: 234, 11: 39, 12: 6, 13: 2},
+    12: {4: 1, 5: 6, 6: 37, 7: 161, 8: 427, 9: 630, 10: 438, 11: 128, 12: 17, 13: 3},
+}
 
 
 def brute_force_classes(maxn, crown_free_only=False):
@@ -139,6 +152,13 @@ class TestGeneration:
                 forms.add(canonical_edges(H.n, H.edges).edges)
             assert by_size == expect, n
             assert len(forms) == sum(expect.values()), n
+
+    def test_crown_free_tally_to_n12(self):
+        tally: dict[int, dict[int, int]] = {}
+        for H in generate_all(12, crown_free_only=True):
+            cell = tally.setdefault(H.n, {})
+            cell[len(H.edges)] = cell.get(len(H.edges), 0) + 1
+        assert tally == CROWN_FREE_TALLY_12
 
     def test_crown_filter_agrees_with_oracle(self):
         full = {
@@ -236,7 +256,7 @@ class TestOrbitReps:
             reps = _orbit_reps(cands, gens)
             assert reps == _closure_reps(cands, gens), H.edges
             split += len(reps) < len(cands)
-            kept = crown_free_additions(H.edges, cands)
+            kept = [t for t in cands if node.tables().free(t)]
             assert _orbit_reps(kept, gens) == [t for t in reps if t in kept], H.edges
         assert split > 100
 
@@ -324,7 +344,8 @@ class TestParentOrbitCut:
         unlabelled = 0
         for node in nodes:
             unlabelled += node.canon is None
-            cands = crown_free_additions(node.edges, _least_key_additions(node, all_candidate_edges(node, 10)))
+            tables = node.tables()
+            cands = [t for t in _least_key_additions(node, all_candidate_edges(node, 10)) if tables.free(t)]
             assert expanded.get(node.edges, []) == _orbit_reps(cands, node.canonical().auts), node.edges
         assert len(nodes) == 618 and unlabelled > 300
 

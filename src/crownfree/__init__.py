@@ -29,7 +29,6 @@ from .discharging import (
     verify_discharge_trace,
 )
 from .graphs import (
-    DegreeVector,
     LinearityError,
     LinearThreeGraph,
     dominates,

@@ -15,7 +15,7 @@ import sys
 
 from . import discharging, lemmas
 from .crowns import find_crown, link_graph
-from .graphs import LinearThreeGraph, parse_json_graph, parse_l3g
+from .graphs import LinearThreeGraph, degree_vector, parse_json_graph, parse_l3g
 from .search import exact_ex, lower_bound_construction, random_linear_graph
 
 EXIT_OK = 0
@@ -113,7 +113,7 @@ def cmd_discharge(args) -> int:
         s, s_star = discharging._star_sums(degs, edge)
         per_edge.append({
             "edge": list(edge),
-            "degree_vector": sorted((degs[u] for u in edge), reverse=True),
+            "degree_vector": degree_vector(degs, edge),
             "s": s,
             "s_star": s_star,
         })

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Sequence
 
-from .graphs import LinearThreeGraph, Triple, dominates
+from .graphs import LinearThreeGraph, Triple, degree_vector, dominates
 
 
 @dataclass(frozen=True)
@@ -279,7 +279,7 @@ def greedy_crown_642(H: LinearThreeGraph, e: int) -> CrownWitness:
     """
     base = H.edge(e)
     d = H.degrees()
-    dv = tuple(sorted((d[v] for v in base), reverse=True))
+    dv = degree_vector(d, base)
     if not dominates(dv, (6, 4, 2)):
         raise ValueError(f"degree vector {dv} does not dominate (6, 4, 2)")
     # endpoints ordered by ascending degree, ties by index

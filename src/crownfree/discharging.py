@@ -26,7 +26,7 @@ from .graphs import LinearThreeGraph, _is_int
 
 def s_of(H: LinearThreeGraph, e: int) -> int:
     """Sum of the three endpoint degrees of edge e."""
-    return H.degree_vector(e).s
+    return sum(H.degree_vector(e))
 
 
 def _star_sums(degs: list[int], edge) -> tuple[int, int]:

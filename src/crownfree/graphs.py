@@ -22,31 +22,14 @@ class LinearityError(ValueError):
     """Raised when a raw triple list fails validation as a linear 3-graph."""
 
 
-@dataclass(frozen=True)
-class DegreeVector:
-    """Non-increasing degree triple (x, y, z) of an edge's endpoints."""
-
-    x: int
-    y: int
-    z: int
-
-    def __post_init__(self):
-        if not (self.x >= self.y >= self.z >= 0):
-            raise ValueError(f"degree vector must be non-increasing: {self}")
-
-    @property
-    def s(self) -> int:
-        return self.x + self.y + self.z
-
-    def as_tuple(self) -> Triple:
-        return (self.x, self.y, self.z)
+def degree_vector(degs: Sequence[int], edge: Iterable[int]) -> Triple:
+    """Non-increasing triple (x, y, z) of an edge's endpoint degrees under degs."""
+    return tuple(sorted((degs[v] for v in edge), reverse=True))
 
 
-def dominates(d1: DegreeVector | Triple, d2: DegreeVector | Triple) -> bool:
+def dominates(d1: Triple, d2: Triple) -> bool:
     """True iff d1 >= d2 in all three coordinates."""
-    a = d1.as_tuple() if isinstance(d1, DegreeVector) else tuple(d1)
-    b = d2.as_tuple() if isinstance(d2, DegreeVector) else tuple(d2)
-    return a[0] >= b[0] and a[1] >= b[1] and a[2] >= b[2]
+    return d1[0] >= d2[0] and d1[1] >= d2[1] and d1[2] >= d2[2]
 
 
 @dataclass(frozen=True)
@@ -70,12 +53,9 @@ class LinearThreeGraph:
             d[c] += 1
         return d
 
-    def degree_vector(self, e: int) -> DegreeVector:
+    def degree_vector(self, e: int) -> Triple:
         """Non-increasing triple of endpoint degrees of edge e."""
-        a, b, c = self.edge(e)
-        d = self.degrees()
-        x, y, z = sorted((d[a], d[b], d[c]), reverse=True)
-        return DegreeVector(x, y, z)
+        return degree_vector(self.degrees(), self.edge(e))
 
     def edge(self, e: int) -> Triple:
         if not (0 <= e < len(self.edges)):

@@ -384,7 +384,10 @@ def exact_ex(
     candidates' crown checks and canonical tests).  The budget does not
     cover building the gadget before the search, nor the crown_oracle
     recheck of up to WITNESS_CAP witnesses after it.  Both are small: a
-    1 s budget stops within 0.5 s of it for n <= 403.
+    1 s budget stops within 0.5 s of it for n <= 403.  Both grow with the
+    square of the gadget's edge count (its find_crown self-check, the
+    oracle on it), so past that the overrun is seconds: 2 s at n = 1003
+    and 10 s at n = 2003 (see the README).
     """
     if n < 3:
         raise ValueError("need n >= 3")

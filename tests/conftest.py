@@ -1,8 +1,15 @@
-"""Shared fixture graphs: the crown, Fano plane, AG(2,3), spoke wheels."""
+"""Shared fixture graphs: the crown, Fano plane, AG(2,3), spoke wheels;
+and the `slow` gate for opt-in tests."""
+
+import os
 
 import pytest
 
 from crownfree import validate_linear
+
+# Opt-in tests that take tens of seconds: run them with CROWNFREE_SLOW=1.
+slow = pytest.mark.skipif(os.environ.get("CROWNFREE_SLOW") != "1",
+                          reason="slow; set CROWNFREE_SLOW=1 to run")
 
 CROWN_EDGES = [(0, 1, 2), (0, 3, 4), (1, 5, 6), (2, 7, 8)]
 FANO_EDGES = [

@@ -252,7 +252,7 @@ class TestDischarge:
         assert obj["edges"] == [
             {
                 "edge": list(H.edge(e)),
-                "degree_vector": list(H.degree_vector(e).as_tuple()),
+                "degree_vector": list(H.degree_vector(e)),
                 "s": s_of(H, e),
                 "s_star": s_star(H, e),
             }

@@ -33,6 +33,7 @@ from crownfree.search import (
     generate_all,
 )
 
+from conftest import slow
 from search_reference import all_candidate_edges, deletion_ties, reference_walk
 
 
@@ -104,6 +105,30 @@ CROWN_FREE_TALLY_12 = {
     11: {4: 1, 5: 10, 6: 40, 7: 132, 8: 305, 9: 407, 10: 234, 11: 39, 12: 6, 13: 2},
     12: {4: 1, 5: 6, 6: 37, 7: 161, 8: 427, 9: 630, 10: 438, 11: 128, 12: 17, 13: 3},
 }
+# The same tally for generate_all(17, crown_free_only=True): 256,738
+# classes in 115 cells.  By cov = 13..17: 3,604, 8,237, 20,551, 57,024 and
+# 163,681 classes.  The edge walk takes about a minute, so its test is slow.
+CROWN_FREE_TALLY_17 = {
+    **CROWN_FREE_TALLY_12,
+    13: {5: 3, 6: 27, 7: 157, 8: 599, 9: 1193, 10: 1082, 11: 430, 12: 96, 13: 15, 14: 2},
+    14: {5: 1, 6: 16, 7: 119, 8: 665, 9: 2012, 10: 2827, 11: 1792, 12: 619, 13: 149, 14: 35,
+         15: 2},
+    15: {5: 1, 6: 7, 7: 78, 8: 576, 9: 2625, 10: 5970, 11: 6275, 12: 3464, 13: 1214, 14: 283,
+         15: 50, 16: 6, 17: 1, 18: 1},
+    16: {6: 3, 7: 40, 8: 398, 9: 2656, 10: 9539, 11: 16778, 12: 15261, 13: 8416, 14: 3057,
+         15: 740, 16: 114, 17: 17, 18: 4, 19: 1},
+    17: {6: 1, 7: 18, 8: 226, 9: 2072, 10: 11352, 11: 32127, 12: 46761, 13: 39265, 14: 21381,
+         15: 7916, 16: 2073, 17: 409, 18: 67, 19: 12, 20: 1},
+}
+
+
+def crown_free_tally(maxn):
+    """{cov: {m: classes}} over generate_all(maxn, crown_free_only=True)."""
+    tally: dict[int, dict[int, int]] = {}
+    for H in generate_all(maxn, crown_free_only=True):
+        cell = tally.setdefault(H.n, {})
+        cell[len(H.edges)] = cell.get(len(H.edges), 0) + 1
+    return tally
 
 
 def brute_force_classes(maxn, crown_free_only=False):
@@ -154,11 +179,11 @@ class TestGeneration:
             assert len(forms) == sum(expect.values()), n
 
     def test_crown_free_tally_to_n12(self):
-        tally: dict[int, dict[int, int]] = {}
-        for H in generate_all(12, crown_free_only=True):
-            cell = tally.setdefault(H.n, {})
-            cell[len(H.edges)] = cell.get(len(H.edges), 0) + 1
-        assert tally == CROWN_FREE_TALLY_12
+        assert crown_free_tally(12) == CROWN_FREE_TALLY_12
+
+    @slow
+    def test_crown_free_tally_to_n17(self):
+        assert crown_free_tally(17) == CROWN_FREE_TALLY_17
 
     def test_crown_filter_agrees_with_oracle(self):
         full = {
@@ -453,6 +478,12 @@ class TestExactEx:
         cert = exact_ex(403, max_seconds=1)
         assert (cert.exhaustive, cert.value) == (False, 600)
         assert cert.elapsed_seconds < 5
+
+    @slow
+    def test_n15_only_witness_is_the_gadget(self):
+        cert = exact_ex(15)
+        assert (cert.value, cert.nodes_explored, cert.exhaustive) == (18, 36034, True)
+        assert cert.witnesses == [canonical_form(lower_bound_construction(15)).edges]
 
     def test_n11_witness_is_the_555_link_graph(self):
         # The 13-edge graph built on the unique rainbow-free (5,5,5) link

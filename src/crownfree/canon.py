@@ -42,14 +42,13 @@ whole of Aut(H).  Only the generators are returned, never the group.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from collections import namedtuple
+from collections.abc import Sequence
 
 from .graphs import LinearThreeGraph, Triple
 
 
-@dataclass(frozen=True)
-class CanonResult:
+class CanonResult(namedtuple("CanonResult", "edges perm auts cover")):
     """Canonical edge list, the relabeling achieving it, and Aut(H).
 
     edges: canonical edge list over covered vertices relabeled 0..k-1
@@ -63,10 +62,7 @@ class CanonResult:
     cover: sorted list of covered vertices (original labels).
     """
 
-    edges: tuple[Triple, ...]
-    perm: tuple[int, ...]
-    auts: tuple[tuple[int, ...], ...]
-    cover: tuple[int, ...]
+    __slots__ = ()
 
 
 def canonical_form(H: LinearThreeGraph) -> CanonResult:

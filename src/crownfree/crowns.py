@@ -14,24 +14,21 @@ n = 43, 63 and 103 (one core of a 2-vCPU host, Python 3.11).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Sequence
 from itertools import combinations, product
-from typing import Sequence
 
 from .graphs import LinearThreeGraph, Triple, degree_vector, dominates
 
 
-@dataclass(frozen=True)
-class ColoredLinkGraph:
+class ColoredLinkGraph(namedtuple("ColoredLinkGraph", "base vertices colored_edges")):
     """Link graph G(e) of a base edge, with edges colored by base vertex.
 
     colored_edges holds (u, v, color) with u < v; color is the base vertex
     through which the originating 3-graph edge passes.
     """
 
-    base: Triple
-    vertices: frozenset[int]
-    colored_edges: tuple[tuple[int, int, int], ...]
+    __slots__ = ()
 
     def color_class(self, color: int) -> list[tuple[int, int]]:
         return [(u, v) for u, v, c in self.colored_edges if c == color]
@@ -47,12 +44,10 @@ class ColoredLinkGraph:
         return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class CrownWitness:
-    """Base edge id plus three jewel edge ids certifying a crown."""
+class CrownWitness(namedtuple("CrownWitness", "base jewels")):
+    """Base edge id plus a tuple of three jewel edge ids certifying a crown."""
 
-    base: int
-    jewels: tuple[int, int, int]
+    __slots__ = ()
 
     def validate(self, H: LinearThreeGraph) -> None:
         """Check the witness invariants against H; raises ValueError if bad."""

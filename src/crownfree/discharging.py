@@ -15,9 +15,8 @@ All arithmetic is exact; no floats anywhere in this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 from .graphs import LinearThreeGraph, _is_int
 
@@ -65,19 +64,17 @@ class DegreePreconditionError(ValueError):
     """A degree function fails a precondition of the redistribution builder."""
 
 
-@dataclass
-class DischargeTrace:
+class DischargeTrace(namedtuple("DischargeTrace", "f0 steps increase_set")):
     """The f_0..f_k unit-transfer sequence.
 
-    steps[i] = (x, y): vertex x gains one unit, vertex y loses one, at step
-    i+1.  increase_set holds the vertices never decreased; everything else
-    is decrease-only.  The quadratic bookkeeping is not stored: it is
-    replayed from these three fields whenever it is read.
+    f0 is the list of start values.  steps[i] = (x, y): vertex x gains one
+    unit, vertex y loses one, at step i+1.  increase_set holds the vertices
+    never decreased; everything else is decrease-only.  The quadratic
+    bookkeeping is not stored: it is replayed from these three fields
+    whenever it is read.
     """
 
-    f0: list[int]
-    steps: list[tuple[int, int]]
-    increase_set: set[int]
+    __slots__ = ()
 
     @property
     def k(self) -> int:
@@ -101,17 +98,10 @@ class DischargeTrace:
         }
 
 
-class _Bookkeeping(NamedTuple):
-    """t[i] is the sum of f_i(v)^2 and delta[i] = t[i+1] - t[i]; g[i] =
-    2 f_i(x) + 1 and h[i] = 2 f_i(y) - 1 for step i+1 = (x, y);
-    delta_v[v] sums delta over the steps at v; fk is the final function."""
-
-    t: list[int]
-    delta: list[int]
-    g: list[int]
-    h: list[int]
-    delta_v: dict[int, int]
-    fk: list[int]
+# t[i] is the sum of f_i(v)^2 and delta[i] = t[i+1] - t[i]; g[i] =
+# 2 f_i(x) + 1 and h[i] = 2 f_i(y) - 1 for step i+1 = (x, y);
+# delta_v[v] sums delta over the steps at v; fk is the final function.
+_Bookkeeping = namedtuple("_Bookkeeping", "t delta g h delta_v fk")
 
 
 def _bookkeeping(trace: DischargeTrace) -> _Bookkeeping:
@@ -277,13 +267,8 @@ def verify_discharge_trace(trace: DischargeTrace, d: list[int]) -> tuple[bool, l
     return not bad, bad
 
 
-@dataclass(frozen=True)
-class StarDeficitResult:
-    deficit: int
-    bound: int
-    within_bound: bool
-    premise_ok: bool
-    offending: tuple[int, ...]  # co-edge vertices of degree > 3, if any
+# offending: the co-edge vertices of degree > 3, if any, as a sorted tuple.
+StarDeficitResult = namedtuple("StarDeficitResult", "deficit bound within_bound premise_ok offending")
 
 
 def star_deficit_check(H: LinearThreeGraph, v: int) -> StarDeficitResult:

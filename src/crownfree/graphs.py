@@ -12,8 +12,8 @@ construction calls the LinearThreeGraph constructor directly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 
 Triple = tuple[int, int, int]
 
@@ -32,16 +32,15 @@ def dominates(d1: Triple, d2: Triple) -> bool:
     return d1[0] >= d2[0] and d1[1] >= d2[1] and d1[2] >= d2[2]
 
 
-@dataclass(frozen=True)
-class LinearThreeGraph:
-    """An immutable linear 3-graph on vertices 0..n-1.
+class LinearThreeGraph(namedtuple("LinearThreeGraph", "n edges")):
+    """An immutable linear 3-graph on vertices 0..n-1: the named pair
+    (n, edges), edges a tuple of Triples.
 
     Do not call the constructor directly with unvalidated data; use
     validate_linear() for raw input.
     """
 
-    n: int
-    edges: tuple[Triple, ...]
+    __slots__ = ()
 
     # -- primitive queries -------------------------------------------------
 

@@ -9,8 +9,8 @@ reported failure.
 
 from __future__ import annotations
 
+import random
 import time
-from dataclasses import dataclass, field
 
 from .canon import canonical_edges
 from .crowns import (
@@ -26,16 +26,18 @@ from .crowns import (
 )
 from .graphs import LinearityError, LinearThreeGraph, Triple, validate_linear
 
-import random
 
-
-@dataclass
 class ReplayReport:
-    suite: str
-    instances: int = 0
-    failures: list[tuple[str, str]] = field(default_factory=list)
-    elapsed_ms: float = 0.0
-    seed: int | None = None
+    """One suite's outcome; the suite fills in the fields as it runs.
+    failures holds (name, detail) pairs."""
+
+    def __init__(self, suite: str, instances: int = 0, failures: list[tuple[str, str]] | None = None,
+                 elapsed_ms: float = 0.0, seed: int | None = None):
+        self.suite = suite
+        self.instances = instances
+        self.failures = [] if failures is None else failures
+        self.elapsed_ms = elapsed_ms
+        self.seed = seed
 
     @property
     def passed(self) -> bool:

@@ -50,26 +50,24 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass, field
+from collections import namedtuple
+from collections.abc import Iterator, Sequence
 from itertools import combinations
-from typing import Iterator, Sequence
 
 from .canon import CanonResult, _orbit_roots, canonical_edges
 from .crowns import CrownTables, crown_oracle, find_crown
 from .graphs import LinearThreeGraph, Triple, validate_linear
 
 
-@dataclass
-class ExtremalCertificate:
-    """Exact value of the crown Turán number with witnesses and evidence."""
+class ExtremalCertificate(namedtuple("ExtremalCertificate", "n value witnesses nodes_explored "
+                                     "exhaustive elapsed_seconds params")):
+    """Exact value of the crown Turán number with witnesses and evidence.
 
-    n: int
-    value: int
-    witnesses: list[tuple[Triple, ...]]  # canonical edge lists, sorted, capped; see exact_ex
-    nodes_explored: int
-    exhaustive: bool
-    elapsed_seconds: float
-    params: dict = field(default_factory=dict)
+    witnesses is a list of canonical edge lists, sorted and capped (see
+    exact_ex); params is a dict of the search's arguments.
+    """
+
+    __slots__ = ()
 
     def witness_graphs(self) -> list[LinearThreeGraph]:
         return [LinearThreeGraph(self.n, w) for w in self.witnesses]

@@ -116,6 +116,18 @@ def test_deeply_nested_json_exit_1(tmp_path, argv):
     assert "Traceback" not in proc.stderr
 
 
+def test_import_loads_no_dataclasses_or_typing():
+    """The package imports only light stdlib modules: a fresh interpreter
+    that imports it and its CLI loads none of these."""
+    src = str(Path(crownfree.__file__).resolve().parent.parent)
+    code = (f"import sys; sys.path.insert(0, {src!r}); import crownfree, crownfree.cli; "
+            "print(sorted({'dataclasses', 'typing', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", code],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 class TestCheckFuzz:
     @settings(derandomize=True, database=None, max_examples=200, deadline=None)
     @given(_inputs, st.booleans())

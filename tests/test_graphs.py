@@ -3,13 +3,20 @@ import random
 import pytest
 
 from crownfree import (
+    CanonResult,
+    ColoredLinkGraph,
+    CrownWitness,
+    DischargeTrace,
+    ExtremalCertificate,
     LinearityError,
+    LinearThreeGraph,
     dominates,
     parse_json_graph,
     parse_l3g,
     validate_linear,
 )
 from crownfree.canon import canonical_form
+from crownfree.discharging import StarDeficitResult, _Bookkeeping
 
 from canon_reference import closure, is_automorphism
 from conftest import CROWN_EDGES, FANO_EDGES
@@ -201,6 +208,47 @@ class TestSerialization:
 
     def test_json_roundtrip(self, fano):
         assert parse_json_graph(fano.to_json()).edges == fano.edges
+
+
+# Every record type, built from equal fields each time it is called, with
+# its repr, which callers print and which stays fixed.
+RECORDS = [
+    (lambda: LinearThreeGraph(5, ((0, 1, 2), (0, 3, 4))),
+     "LinearThreeGraph(n=5, edges=((0, 1, 2), (0, 3, 4)))"),
+    (lambda: CrownWitness(0, (1, 2, 3)), "CrownWitness(base=0, jewels=(1, 2, 3))"),
+    (lambda: ColoredLinkGraph((0, 1, 2), frozenset({3, 4}), ((3, 4, 0),)),
+     "ColoredLinkGraph(base=(0, 1, 2), vertices=frozenset({3, 4}), colored_edges=((3, 4, 0),))"),
+    (lambda: CanonResult(((0, 1, 2),), (0, 1, 2, 3), ((1, 0, 2, 3),), (0, 1, 2)),
+     "CanonResult(edges=((0, 1, 2),), perm=(0, 1, 2, 3), auts=((1, 0, 2, 3),), cover=(0, 1, 2))"),
+    (lambda: StarDeficitResult(0, 0, True, True, ()),
+     "StarDeficitResult(deficit=0, bound=0, within_bound=True, premise_ok=True, offending=())"),
+    (lambda: DischargeTrace([5, 6], [(0, 1)], {0}),
+     "DischargeTrace(f0=[5, 6], steps=[(0, 1)], increase_set={0})"),
+    (lambda: _Bookkeeping([1], [], [], [], {}, [1]),
+     "_Bookkeeping(t=[1], delta=[], g=[], h=[], delta_v={}, fk=[1])"),
+    (lambda: ExtremalCertificate(3, 1, [((0, 1, 2),)], 2, True, 0.5, {"threads": 1}),
+     "ExtremalCertificate(n=3, value=1, witnesses=[((0, 1, 2),)], nodes_explored=2, "
+     "exhaustive=True, elapsed_seconds=0.5, params={'threads': 1})"),
+]
+
+
+class TestRecords:
+    @pytest.mark.parametrize("make, text", RECORDS, ids=[t.split("(")[0] for _, t in RECORDS])
+    def test_repr_equality_immutability(self, make, text):
+        r = make()
+        assert repr(r) == text
+        assert r == make()
+        first = text.split("(", 1)[1].split("=", 1)[0]
+        getattr(r, first)  # the field reads, so the error below is the refusal to set it
+        with pytest.raises(AttributeError):
+            setattr(r, first, None)
+        with pytest.raises(AttributeError):
+            r.extra = 1
+
+    def test_equal_graphs_hash_equal(self, crown):
+        g = LinearThreeGraph(9, tuple(CROWN_EDGES))
+        assert g == crown and hash(g) == hash(crown) and len({g, crown}) == 1
+        assert g != LinearThreeGraph(10, g.edges)
 
 
 class TestCanonicalForm:

@@ -304,6 +304,11 @@ class TestRunSuite:
     def test_named(self):
         assert run_suite("order11").passed
 
+    def test_reports_do_not_share_failures(self):
+        a, b = lemmas.ReplayReport("x"), lemmas.ReplayReport("x")
+        a.failures.append(("name", "detail"))
+        assert b.failures == [] and a.failures is not b.failures
+
     def test_reports_serialize(self):
         obj = verify_order11().to_json_obj()
         assert obj["suite"] == "order11" and obj["passed"] is True

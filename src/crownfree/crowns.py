@@ -273,7 +273,16 @@ def greedy_crown_642(H: LinearThreeGraph, e: int) -> CrownWitness:
     exists.  Ties broken by least edge id.
     """
     base = H.edge(e)
-    d = H.degrees()
+    x, y, z = base
+    dx = dy = dz = 0  # the base's degrees only, in one pass over the edges
+    for f in H.edges:
+        if x in f:
+            dx += 1
+        if y in f:
+            dy += 1
+        if z in f:
+            dz += 1
+    d = {x: dx, y: dy, z: dz}
     dv = degree_vector(d, base)
     if not dominates(dv, (6, 4, 2)):
         raise ValueError(f"degree vector {dv} does not dominate (6, 4, 2)")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from collections import namedtuple
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
 Triple = tuple[int, int, int]
 
@@ -22,8 +22,9 @@ class LinearityError(ValueError):
     """Raised when a raw triple list fails validation as a linear 3-graph."""
 
 
-def degree_vector(degs: Sequence[int], edge: Iterable[int]) -> Triple:
-    """Non-increasing triple (x, y, z) of an edge's endpoint degrees under degs."""
+def degree_vector(degs: Sequence[int] | Mapping[int, int], edge: Iterable[int]) -> Triple:
+    """Non-increasing triple (x, y, z) of an edge's endpoint degrees under
+    degs, a degree list or a map from at least the edge's vertices."""
     return tuple(sorted((degs[v] for v in edge), reverse=True))
 
 

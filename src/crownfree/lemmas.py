@@ -5,6 +5,13 @@ suite passes; reports are deterministic given their seed.  The planted
 instances are linear by construction and are not validated; the
 section 3 replay validates its extensions, and a refused one is a
 reported failure.
+
+The seeded corpora (the planted (6,4,2) instances and the random degree
+functions) take every integer draw from rng.getrandbits alone, through
+_below, in the way random.Random's randint, randrange and sample use it.
+So the corpora are those of the plain calls, yet depend only on the
+Mersenne Twister's bit stream, not on the internals of random.sample,
+and skip the calls' overhead, about half the cost of planting.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ from .crowns import (
     find_rainbow_matching,
     greedy_crown_642,
 )
+from .discharging import build_discharge_sequence, verify_discharge_trace
 from .graphs import LinearityError, LinearThreeGraph, Triple, validate_linear
 
 
@@ -323,18 +331,35 @@ def verify_links555() -> ReplayReport:
     return rep
 
 
+def _below(getrandbits, m: int) -> int:
+    """Uniform int in [0, m), m >= 1, drawn as random.Random draws
+    randrange(m): getrandbits(m.bit_length()) until the value is below m."""
+    k = m.bit_length()
+    r = getrandbits(k)
+    while r >= m:
+        r = getrandbits(k)
+    return r
+
+
 def plant_642_instance(rng: random.Random) -> tuple[LinearThreeGraph, int]:
     """Random linear graph with a planted edge whose degree vector dominates
     (6,4,2): a sunflower through a base edge plus random linear noise.
 
     Linear by construction, so not validated: petals take fresh vertices
     below n, and a noise triple below n is kept only if none of its pairs
-    is taken.  The base (0, 1, 2) is the least triple, so it is edge 0."""
-    da = rng.randint(6, 9)
-    db = rng.randint(4, min(da, 8))
-    dc = rng.randint(2, min(db, 6))
+    is taken.  The base (0, 1, 2) is the least triple, so it is edge 0.
+
+    Every draw goes through rng.getrandbits alone, by _below, in the order
+    and with the bit counts that rng.randint and rng.sample(range(n), 3)
+    use.  So each instance, and rng's state after it, is that of the plain
+    calls (tests/lemma_reference.py keeps them), while the calls' own
+    overhead, about half the cost of planting, is skipped."""
+    g = rng.getrandbits
+    da = 6 + _below(g, 4)
+    db = 4 + _below(g, min(da, 8) - 3)
+    dc = 2 + _below(g, min(db, 6) - 1)
     # the base's 3 vertices, 2 fresh ones per petal, up to 6 spare ones
-    n = 3 + 2 * (da + db + dc - 3) + rng.randint(0, 6)
+    n = 3 + 2 * (da + db + dc - 3) + _below(g, 7)
     # pairs x < y keyed as x*n + y; a petal (v, nxt, nxt + 1) has v < 3 <= nxt
     edges: list[Triple] = [(0, 1, 2)]
     pairs = {0 * n + 1, 0 * n + 2, 1 * n + 2}
@@ -346,8 +371,23 @@ def plant_642_instance(rng: random.Random) -> tuple[LinearThreeGraph, int]:
             pairs.update((vn + nxt, vn + nxt + 1, nxt * n + nxt + 1))
             nxt += 2
     # random noise edges that keep linearity (pair-reuse rejected)
-    for _ in range(rng.randint(0, 12)):
-        a, b, c = rng.sample(range(n), 3)
+    for _ in range(_below(g, 13)):
+        # three distinct vertices, drawn as random.sample draws k = 3 of n
+        if n <= 21:  # its pool swap, for n up to its setsize
+            pool = list(range(n))
+            j = _below(g, n)
+            a, pool[j] = pool[j], pool[n - 1]
+            j = _below(g, n - 1)
+            b, pool[j] = pool[j], pool[n - 2]
+            c = pool[_below(g, n - 2)]
+        else:  # its redraw of a repeat
+            a = _below(g, n)
+            b = _below(g, n)
+            while b == a:
+                b = _below(g, n)
+            c = _below(g, n)
+            while c == a or c == b:
+                c = _below(g, n)
         if a > b:
             a, b = b, a
         if b > c:
@@ -408,8 +448,6 @@ def verify_discharge_suite(seed: int = 0, count: int = 200) -> ReplayReport:
     """Random valid degree functions through the builder and the verifier,
     including planted large degrees; one verifier call per instance also
     checks the Delta_v bound at every vertex of degree >= 9."""
-    from .discharging import build_discharge_sequence, verify_discharge_trace
-
     t0 = time.monotonic()
     rep = ReplayReport(suite="discharge", seed=seed)
     rng = random.Random(seed)
@@ -430,19 +468,23 @@ def verify_discharge_suite(seed: int = 0, count: int = 200) -> ReplayReport:
 
 def random_degree_function(rng: random.Random) -> list[int]:
     """Seeded degree function with sum 5n + l, min >= 2, n <= 40, and an
-    occasional planted degree in 9..15."""
-    n = rng.randint(3, 40)
-    l = rng.randint(0, 2)
+    occasional planted degree in 9..15.
+
+    Draws as rng.randint and rng.randrange do, through _below on
+    rng.getrandbits, like plant_642_instance."""
+    g = rng.getrandbits
+    n = 3 + _below(g, 38)
+    l = _below(g, 3)
     target = 5 * n + l
     d = [2] * n
     if rng.random() < 0.7:
-        d[rng.randrange(n)] = rng.randint(9, 15)
+        d[_below(g, n)] = 9 + _below(g, 7)  # the degree is drawn before the vertex
     remaining = target - sum(d)
     while remaining < 0:  # planted degree overshot on a tiny n
         d = [2] * n
         remaining = target - sum(d)
     for _ in range(remaining):
-        d[rng.randrange(n)] += 1
+        d[_below(g, n)] += 1
     return d
 
 

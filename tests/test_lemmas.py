@@ -1,3 +1,4 @@
+import random
 from itertools import product
 
 import pytest
@@ -16,6 +17,7 @@ from crownfree.lemmas import (
     induced_graph_of_G,
     min_counterexample_order,
     plant_642_instance,
+    random_degree_function,
     replay_section3,
     run_suite,
     verify_discharge_suite,
@@ -23,6 +25,8 @@ from crownfree.lemmas import (
     verify_links555,
     verify_order11,
 )
+
+import lemma_reference
 
 
 def _rainbow_triples(colored):
@@ -249,6 +253,58 @@ class TestLemma1Corpus:
         assert (sum_n, sum_m, ids) == (33475, 19193, {0})
 
 
+class _Recording(random.Random):
+    """A Random that logs each getrandbits call; randint, randrange and
+    sample draw through getrandbits once it is overridden."""
+
+    def __init__(self, seed):
+        self.log = []
+        super().__init__(seed)
+
+    def getrandbits(self, k):
+        r = super().getrandbits(k)
+        self.log.append((k, r))
+        return r
+
+
+class TestCorpusDraws:
+    """The library's getrandbits draws against the randint, randrange and
+    sample draws of tests/lemma_reference.py."""
+
+    def test_below_is_randrange(self):
+        for s in (0, 7):
+            r1, r2 = random.Random(s), random.Random(s)
+            for m in range(1, 65):
+                for _ in range(50):
+                    assert lemmas._below(r1.getrandbits, m) == r2.randrange(m), (s, m)
+                assert r1.getstate() == r2.getstate(), (s, m)
+
+    @pytest.mark.parametrize("seed", [0, 7, 42])
+    def test_planted_corpus_equals_reference(self, seed):
+        r1, r2 = _Recording(seed), _Recording(seed)
+        pool_branch = 0
+        for i in range(3000):
+            got = plant_642_instance(r1)
+            assert got == lemma_reference.plant_642_instance(r2), i
+            assert r1.log == r2.log and r1.getstate() == r2.getstate(), i
+            r1.log.clear()
+            r2.log.clear()
+            pool_branch += got[0].n <= 21
+        # random.sample takes its pool-swap branch only for n <= 21, which
+        # about 0.3% of instances reach
+        assert pool_branch > 0
+        assert r1.random() == r2.random()
+
+    @pytest.mark.parametrize("seed", [0, 7, 42])
+    def test_degree_functions_equal_reference(self, seed):
+        r1, r2 = _Recording(seed), _Recording(seed)
+        for i in range(500):
+            assert random_degree_function(r1) == lemma_reference.random_degree_function(r2), i
+            assert r1.log == r2.log and r1.getstate() == r2.getstate(), i
+            r1.log.clear()
+            r2.log.clear()
+
+
 class TestOrder11:
     def test_value(self):
         assert min_counterexample_order() == 11
@@ -289,7 +345,7 @@ class TestDischargeSuite:
             [5] * 6, [(2, 0)] * 3 + [(2, 1)] * 3 + [(5, 2)] * 6, {3, 4, 5}
         )
         monkeypatch.setattr(lemmas, "random_degree_function", lambda rng: [2, 2, 5, 5, 5, 11])
-        monkeypatch.setattr(discharging, "build_discharge_sequence", lambda d: bad)
+        monkeypatch.setattr(lemmas, "build_discharge_sequence", lambda d: bad)
         rep = verify_discharge_suite(0, 1)
         assert rep.instances == 1 and len(rep.failures) == 1
         assert "h(7) = 21 > 9 on a step touching a vertex of degree >= 9" in rep.failures[0][1]

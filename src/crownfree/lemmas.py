@@ -163,9 +163,60 @@ def _two_colour_key(colored_ab) -> tuple:
     return min(tuple(sorted(comps)), tuple(sorted(swapped)))
 
 
+def _two_colour_classes() -> list[tuple[list, int]]:
+    """One (b_class, n_after_b) per isomorphism class of two 4-matchings
+    sharing no pair, colour A on the pairs (0,1), (2,3), (4,5), (6,7).
+
+    Built from the components _two_colour_key reads: cycles of 4, 6 or 8
+    edges (no 2-cycles, as B shares no pair with A) and paths of 1 to 8
+    edges, an odd one with its end colour.  Each multiset of components
+    with four edges of each colour is laid out component by component,
+    every A edge on the next pinned pair and every other path end on the
+    next fresh vertex 8, 9, ...; _two_colour_key then keeps one layout per
+    colour swap (32 classes).
+    """
+    comps = [(0, l, -1) for l in (4, 6, 8)] + [(1, l, -1) for l in (2, 4, 6, 8)]
+    comps += [(1, l, c) for l in (1, 3, 5, 7) for c in (0, 1)]
+    # edges of colour A; an odd path starts and ends on its end colour
+    a_edges = [(l + (c != 1)) // 2 for _, l, c in comps]
+
+    multisets = []
+
+    def rec(start: int, chosen: list, a_left: int, b_left: int):
+        if a_left == b_left == 0:
+            multisets.append(chosen)
+            return
+        for i in range(start, len(comps)):
+            a, b = a_edges[i], comps[i][1] - a_edges[i]
+            if a <= a_left and b <= b_left:
+                rec(i, chosen + [comps[i]], a_left - a, b_left - b)
+
+    rec(0, [], 4, 4)
+
+    classes: dict[tuple, tuple[list, int]] = {}
+    for multiset in multisets:
+        next_a, fresh, b_class = 0, 8, []
+        for kind, l, c in multiset:
+            verts = [None] * (l + kind)  # a path has one vertex more
+            odd = c == 1  # edge i has colour (i + odd) % 2
+            for i in range(odd, l, 2):
+                verts[i], verts[(i + 1) % len(verts)] = next_a, next_a + 1
+                next_a += 2
+            for i, v in enumerate(verts):
+                if v is None:
+                    verts[i], fresh = fresh, fresh + 1
+            for i in range(1 - odd, l, 2):
+                u, w = verts[i], verts[(i + 1) % len(verts)]
+                b_class.append((min(u, w), max(u, w)))
+        colored_ab = [(2 * i, 2 * i + 1, 0) for i in range(4)] + [(u, w, 1) for u, w in b_class]
+        classes.setdefault(_two_colour_key(colored_ab), (b_class, fresh))
+    return list(classes.values())
+
+
 def _matchings4(existing_pairs: set, n_used: int, rainbow_veto=None):
     """All size-4 matchings over the current vertices 0..n_used-1 plus fresh
-    vertices introduced consecutively, pairs listed in increasing order.
+    vertices introduced consecutively, pairs listed in increasing order;
+    enumerate_555_link_graphs draws its third colour class from it.
 
     rainbow_veto(pair), when given, prunes a pair that already completes a
     rainbow triple with the previously fixed color classes.
@@ -203,28 +254,20 @@ def enumerate_555_link_graphs() -> list[tuple]:
     Each color class is a matching of four edges; underlying pairs are
     distinct across colors (the ambient 3-graph is linear).  The first
     class is pinned to four fixed disjoint pairs (any matching relabels to
-    it).  The two-class prefixes are deduplicated up to isomorphism before
-    the third class is enumerated, keeping the first of each class.  They
-    are keyed by _two_colour_key, their multiset of alternating cycles and
-    paths up to colour swap, which labels nothing: the union of two
-    matchings is determined up to isomorphism by its components, so the
-    key identifies exactly the prefixes _encode_colored does (3,763
-    prefixes, 32 classes).  A partial third class is pruned as soon as one
-    of its pairs completes a rainbow triple, so every completion is
-    rainbow-free and is not searched again; the completions are
-    deduplicated by canonical labelling.
+    it).  The second class is laid out once per isomorphism class of the
+    two-class prefix by _two_colour_classes, which builds the 32 classes
+    from their alternating cycles and paths instead of listing the 3,763
+    prefixes.  Each class gets every third class, so the result does not
+    depend on which member of a class is laid out.  A partial third class
+    is pruned as soon as one of its pairs completes a rainbow triple, so
+    every completion is rainbow-free and is not searched again; the
+    completions are deduplicated by canonical labelling.
     """
     first = [(0, 1), (2, 3), (4, 5), (6, 7)]
     pairs_a = set(first)
-
-    two_color_reps: dict[tuple, tuple[list, int]] = {}
-    for b_class, n_after_b in _matchings4(pairs_a, 8):
-        colored_ab = [(u, w, 0) for u, w in first] + [(u, w, 1) for u, w in b_class]
-        two_color_reps.setdefault(_two_colour_key(colored_ab), (b_class, n_after_b))
-
     masks_a = _pair_masks(first)
     results: set[tuple] = set()
-    for b_class, n_after_b in two_color_reps.values():
+    for b_class, n_after_b in _two_colour_classes():
         pairs_ab = pairs_a | set(b_class)
 
         def veto(pr, _mb=_pair_masks(b_class)):

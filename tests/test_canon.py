@@ -39,11 +39,12 @@ def relabelled(edges, n, rng):
 
 
 def two_colour_prefixes():
-    """The two-colour prefixes of enumerate_555_link_graphs as 3-graphs:
+    """The two-colour prefixes of a (5,5,5) link graph as 3-graphs:
     colour class 0 fixed, class 1 every matching of four pairs, each
-    coloured pair {u, w} joined to its colour vertex.  The enumeration
-    keys them by their alternating components and labels none; they are
-    kept as a high-symmetry reference set for canon."""
+    coloured pair {u, w} joined to its colour vertex.
+    enumerate_555_link_graphs does not list them, as it builds one per
+    isomorphism class from its alternating components; they are kept as a
+    high-symmetry reference set for canon."""
     first = [(0, 1), (2, 3), (4, 5), (6, 7)]
     out = []
     for second, n_used in _matchings4(set(first), 8):

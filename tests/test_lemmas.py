@@ -10,6 +10,7 @@ from crownfree.graphs import LinearityError
 from crownfree.lemmas import (
     _encode_colored,
     _matchings4,
+    _two_colour_classes,
     _two_colour_key,
     canonical_link_graph_G,
     encode_canonical_G,
@@ -130,6 +131,19 @@ class TestLinks555:
         assert len(seen) == 1
         assert _rainbow_triples(seen[0]) == []
 
+    def test_one_third_colour_search_per_class(self, monkeypatch):
+        # the 32 two-colour classes are built, not drawn from the bare A class
+        calls = []
+        real = lemmas._matchings4
+
+        def counting(existing_pairs, n_used, rainbow_veto=None):
+            calls.append(len(existing_pairs))
+            return real(existing_pairs, n_used, rainbow_veto)
+
+        monkeypatch.setattr(lemmas, "_matchings4", counting)
+        enumerate_555_link_graphs()
+        assert calls == [8] * 32
+
     def test_encoding_is_stable(self):
         assert encode_canonical_G() == encode_canonical_G()
 
@@ -140,11 +154,11 @@ class TestLinks555:
         )
 
 
-def _first_by_key(prefixes, key):
-    """Prefix indices grouped by key, groups in order of first member."""
+def _first_by_key(keys):
+    """Indices grouped by key, groups in order of first member."""
     groups: dict = {}
-    for i, colored in enumerate(prefixes):
-        groups.setdefault(key(colored), []).append(i)
+    for i, k in enumerate(keys):
+        groups.setdefault(k, []).append(i)
     return list(groups.values())
 
 
@@ -152,16 +166,35 @@ def _coloured(pairs_by_colour):
     return [(u, w, c) for c, pairs in enumerate(pairs_by_colour) for u, w in pairs]
 
 
+FIRST = [(0, 1), (2, 3), (4, 5), (6, 7)]
+
+
 class TestTwoColourKey:
     def test_same_partition_as_canonical_labelling(self):
-        first = [(0, 1), (2, 3), (4, 5), (6, 7)]
-        prefixes = [_coloured([first, second]) for second, _ in _matchings4(set(first), 8)]
+        prefixes = [_coloured([FIRST, second]) for second, _ in _matchings4(set(FIRST), 8)]
         assert len(prefixes) == 3763
-        by_key = _first_by_key(prefixes, _two_colour_key)
-        by_canon = _first_by_key(prefixes, _encode_colored)
+        keys = [_two_colour_key(p) for p in prefixes]
+        forms = [_encode_colored(p) for p in prefixes]
+        by_key = _first_by_key(keys)
         assert len(by_key) == 32
         # same classes, and the same first representative in the same order
-        assert by_key == by_canon
+        assert by_key == _first_by_key(forms)
+        # the generated classes are the same 32, by key and, independently
+        # of the key, by canonical form
+        classes = [_coloured([FIRST, b_class]) for b_class, _ in _two_colour_classes()]
+        assert len(classes) == 32
+        assert {_two_colour_key(c) for c in classes} == set(keys)
+        assert {_encode_colored(c) for c in classes} == set(forms)
+
+    def test_generated_classes_are_prefixes(self):
+        for b_class, n in _two_colour_classes():
+            b_vertices = {v for pr in b_class for v in pr}
+            # four pairwise disjoint increasing pairs, none of them an A pair
+            assert len(b_class) == 4 and len(b_vertices) == 8
+            assert all(u < w for u, w in b_class)
+            assert not set(b_class) & set(FIRST)
+            # A covers 0..7, so the labels from 8 up are B's fresh ones
+            assert b_vertices | set(range(8)) == set(range(n))
 
     def test_8_cycle_is_not_two_4_cycles(self):
         cycle8 = _coloured([[(0, 1), (2, 3), (4, 5), (6, 7)], [(1, 2), (3, 4), (5, 6), (0, 7)]])
@@ -184,9 +217,10 @@ class TestTwoColourKey:
         assert _two_colour_key(plus_edge) != _two_colour_key(_coloured(square))
 
     def test_canon_calls_are_pinned(self, monkeypatch):
-        # the prefixes are keyed without labelling: the enumeration labels
-        # only its one rainbow-free completion, and verify_links555 adds
-        # the fixed graph (3,764 and 3,765 calls with labelled prefixes)
+        # the two-colour classes are built without labelling: the
+        # enumeration labels only its one rainbow-free completion, and
+        # verify_links555 adds the fixed graph (3,764 and 3,765 calls when
+        # the 3,763 prefixes were labelled)
         calls = []
         real = lemmas.canonical_edges
 

@@ -278,6 +278,7 @@ def star_deficit_check(H: LinearThreeGraph, v: int) -> StarDeficitResult:
     degree <= 3; a failure is flagged (it means the graph cannot be both
     crown-free and of minimum degree >= 2).
     """
+    H._check_vertex(v)
     degs = H.degrees()
     m = degs[v]
     if m < 9:
@@ -286,8 +287,9 @@ def star_deficit_check(H: LinearThreeGraph, v: int) -> StarDeficitResult:
         raise ValueError("graph has a vertex of degree < 2")
     offending = []
     deficit = 0
-    for e in H.edges_at(v):
-        edge = H.edge(e)
+    for edge in H.edges:
+        if v not in edge:
+            continue
         for u in edge:
             if u != v and degs[u] > 3:
                 offending.append(u)

@@ -69,10 +69,6 @@ class LinearThreeGraph(namedtuple("LinearThreeGraph", "n edges")):
             self._check_vertex(v)
         return {i for i, e in enumerate(self.edges) if xset & set(e)}
 
-    def edges_at(self, v: int) -> list[int]:
-        self._check_vertex(v)
-        return [i for i, e in enumerate(self.edges) if v in e]
-
     def remove_vertices(self, xs: Iterable[int]) -> tuple["LinearThreeGraph", dict[int, int]]:
         """Delete X and E_X, reindex the rest; returns (graph, old->new map)."""
         xset = set(xs)
@@ -115,13 +111,16 @@ def _is_int(x) -> bool:
 def validate_linear(triples: Iterable[Sequence[int]], n: int) -> LinearThreeGraph:
     """Validate and normalize a raw triple list into a LinearThreeGraph.
 
-    Raises LinearityError naming the first offending triple or pair of
-    edges: out-of-range index, repeated vertex within a triple, duplicate
-    edge, or two edges sharing two vertices.  One loop reads the triples
+    Raises LinearityError on an n that is not a positive int, or naming
+    the first offending triple or pair of edges: out-of-range index,
+    repeated vertex within a triple, duplicate edge, or two edges sharing
+    two vertices.  One loop reads the triples
     once (a generator is not copied to a list) and checks and orders each.
     After one sort of the edge list, one pass over a set of pair keys finds
     the first duplicate or shared pair, and only then builds its message.
     """
+    if not _is_int(n):
+        raise LinearityError(f"n must be an integer, got {n!r}")
     if n < 1:
         raise LinearityError("vertex set must be non-empty (n >= 1)")
     norm: list[Triple] = []

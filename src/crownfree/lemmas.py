@@ -39,12 +39,11 @@ class ReplayReport:
     """One suite's outcome; the suite fills in the fields as it runs.
     failures holds (name, detail) pairs."""
 
-    def __init__(self, suite: str, instances: int = 0, failures: list[tuple[str, str]] | None = None,
-                 elapsed_ms: float = 0.0, seed: int | None = None):
+    def __init__(self, suite: str, seed: int | None = None):
         self.suite = suite
-        self.instances = instances
-        self.failures = [] if failures is None else failures
-        self.elapsed_ms = elapsed_ms
+        self.instances = 0
+        self.failures: list[tuple[str, str]] = []
+        self.elapsed_ms = 0.0
         self.seed = seed
 
     @property
@@ -118,73 +117,33 @@ def _encode_colored(G_edges) -> tuple:
     return canonical_edges(base + len(colors), tuple(sorted(triples))).edges
 
 
-def _two_colour_key(colored_ab) -> tuple:
-    """Complete invariant of a graph with two colour classes, each a
-    matching, up to vertex relabelling and colour swap: the same
-    identification _encode_colored makes, with no labelling.
-
-    Every vertex meets at most one edge of each colour, so the graph is a
-    disjoint union of alternating cycles (even) and alternating paths.
-    Two such graphs are colour-preserving isomorphic iff they have the
-    same multiset of components, each given by (cycle or path, edge
-    count, end colour); only an odd path has a single end colour, the
-    others get -1.  The key is the lesser of that sorted multiset and its
-    copy with the colours 0 and 1 swapped.
-    """
-    mate: dict[int, list] = {}
-    for u, w, c in colored_ab:
-        mate.setdefault(u, [None, None])[c] = w
-        mate.setdefault(w, [None, None])[c] = u
-    seen: set[int] = set()
-    comps = []
-    # paths, each walked from the end met first (a vertex missing a colour)
-    for end, m in mate.items():
-        if end in seen or None not in m:
-            continue
-        v, c = end, m.index(None) ^ 1
-        first, length = c, 0
-        seen.add(v)
-        while mate[v][c] is not None:
-            v = mate[v][c]
-            seen.add(v)
-            c ^= 1
-            length += 1
-        comps.append((1, length, first if length % 2 else -1))
-    # what is left is cycles
-    for v in mate:
-        length = 0
-        while v not in seen:
-            seen.add(v)
-            v = mate[v][length % 2]
-            length += 1
-        if length:
-            comps.append((0, length, -1))
-    swapped = [(t, l, 1 - c if c >= 0 else c) for t, l, c in comps]
-    return min(tuple(sorted(comps)), tuple(sorted(swapped)))
-
-
 def _two_colour_classes() -> list[tuple[list, int]]:
     """One (b_class, n_after_b) per isomorphism class of two 4-matchings
     sharing no pair, colour A on the pairs (0,1), (2,3), (4,5), (6,7).
 
-    Built from the components _two_colour_key reads: cycles of 4, 6 or 8
+    Every vertex meets at most one edge of each colour, so the graph is a
+    disjoint union of alternating cycles and paths: cycles of 4, 6 or 8
     edges (no 2-cycles, as B shares no pair with A) and paths of 1 to 8
-    edges, an odd one with its end colour.  Each multiset of components
-    with four edges of each colour is laid out component by component,
-    every A edge on the next pinned pair and every other path end on the
-    next fresh vertex 8, 9, ...; _two_colour_key then keeps one layout per
-    colour swap (32 classes).
+    edges.  Two such graphs are colour-preserving isomorphic iff they have
+    the same multiset of components (cycle or path, edge count, end
+    colour); only an odd path has a single end colour, the others get -1.
+    A colour swap flips only the odd paths' end colours, so the lesser of
+    the sorted multiset and its swapped copy keys the class.  The first
+    multiset of each of the 32 classes, of the 42 with four edges of each
+    colour, is laid out component by component, every A edge on the next
+    pinned pair and every other path end on the next fresh vertex 8, 9, ...
     """
     comps = [(0, l, -1) for l in (4, 6, 8)] + [(1, l, -1) for l in (2, 4, 6, 8)]
     comps += [(1, l, c) for l in (1, 3, 5, 7) for c in (0, 1)]
     # edges of colour A; an odd path starts and ends on its end colour
     a_edges = [(l + (c != 1)) // 2 for _, l, c in comps]
 
-    multisets = []
+    multisets: dict[tuple, list] = {}  # class key -> its first multiset
 
     def rec(start: int, chosen: list, a_left: int, b_left: int):
         if a_left == b_left == 0:
-            multisets.append(chosen)
+            swapped = [(t, l, 1 - c if c >= 0 else c) for t, l, c in chosen]
+            multisets.setdefault(min(tuple(sorted(chosen)), tuple(sorted(swapped))), chosen)
             return
         for i in range(start, len(comps)):
             a, b = a_edges[i], comps[i][1] - a_edges[i]
@@ -193,8 +152,8 @@ def _two_colour_classes() -> list[tuple[list, int]]:
 
     rec(0, [], 4, 4)
 
-    classes: dict[tuple, tuple[list, int]] = {}
-    for multiset in multisets:
+    classes = []
+    for multiset in multisets.values():
         next_a, fresh, b_class = 0, 8, []
         for kind, l, c in multiset:
             verts = [None] * (l + kind)  # a path has one vertex more
@@ -208,9 +167,8 @@ def _two_colour_classes() -> list[tuple[list, int]]:
             for i in range(1 - odd, l, 2):
                 u, w = verts[i], verts[(i + 1) % len(verts)]
                 b_class.append((min(u, w), max(u, w)))
-        colored_ab = [(2 * i, 2 * i + 1, 0) for i in range(4)] + [(u, w, 1) for u, w in b_class]
-        classes.setdefault(_two_colour_key(colored_ab), (b_class, fresh))
-    return list(classes.values())
+        classes.append((b_class, fresh))
+    return classes
 
 
 def _matchings4(existing_pairs: set, n_used: int, rainbow_veto=None):
@@ -255,10 +213,10 @@ def enumerate_555_link_graphs() -> list[tuple]:
     distinct across colors (the ambient 3-graph is linear).  The first
     class is pinned to four fixed disjoint pairs (any matching relabels to
     it).  The second class is laid out once per isomorphism class of the
-    two-class prefix by _two_colour_classes, which builds the 32 classes
-    from their alternating cycles and paths instead of listing the 3,763
-    prefixes.  Each class gets every third class, so the result does not
-    depend on which member of a class is laid out.  A partial third class
+    two-class prefix by _two_colour_classes, which keys the 32 classes by
+    their multisets of alternating cycles and paths instead of listing the
+    3,763 prefixes.  Each class gets every third class, so the result does
+    not depend on which member of a class is laid out.  A partial third class
     is pruned as soon as one of its pairs completes a rainbow triple, so
     every completion is rainbow-free and is not searched again; the
     completions are deduplicated by canonical labelling.

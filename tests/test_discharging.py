@@ -325,6 +325,12 @@ class TestStarDeficit:
         assert not res.premise_ok and x1 in res.offending
         assert crown_oracle(H) is not None  # (9,4,2) >= (6,4,2) forces a crown
 
+    def test_vertex_out_of_range(self):
+        H = spoke_wheel(9)
+        for v in (-1, H.n):
+            with pytest.raises(IndexError, match=f"^vertex {v} out of range \\(n={H.n}\\)$"):
+                star_deficit_check(H, v)
+
     def test_small_degree_rejected(self, fano):
         with pytest.raises(ValueError, match=">= 9"):
             star_deficit_check(fano, 0)

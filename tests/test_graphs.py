@@ -84,6 +84,9 @@ class TestValidateMessages:
         ([(0, 1, 2), (0, 1, 3)], 4, "edges #0 [0, 1, 2] and #1 [0, 1, 3] share pair {0, 1}"),
         ([[0, 1, 2], [0, 3, 4], [0, 1, 5]], 6,
          "edges #0 [0, 1, 2] and #1 [0, 1, 5] share pair {0, 1}"),
+        # n is checked before any triple, as parse_json_graph checks it
+        ([(0, 1, 2)], 3.5, "n must be an integer, got 3.5"),
+        ([], True, "n must be an integer, got True"),
     ])
     def test_message(self, triples, n, message):
         # the list, then a generator, which validate_linear reads once

@@ -11,7 +11,6 @@ from crownfree.lemmas import (
     _encode_colored,
     _matchings4,
     _two_colour_classes,
-    _two_colour_key,
     canonical_link_graph_G,
     encode_canonical_G,
     enumerate_555_link_graphs,
@@ -154,14 +153,6 @@ class TestLinks555:
         )
 
 
-def _first_by_key(keys):
-    """Indices grouped by key, groups in order of first member."""
-    groups: dict = {}
-    for i, k in enumerate(keys):
-        groups.setdefault(k, []).append(i)
-    return list(groups.values())
-
-
 def _coloured(pairs_by_colour):
     return [(u, w, c) for c, pairs in enumerate(pairs_by_colour) for u, w in pairs]
 
@@ -169,22 +160,17 @@ def _coloured(pairs_by_colour):
 FIRST = [(0, 1), (2, 3), (4, 5), (6, 7)]
 
 
-class TestTwoColourKey:
+class TestTwoColourClasses:
     def test_same_partition_as_canonical_labelling(self):
+        # the classes keyed by component multiset are, independently of
+        # that key, the canonical forms of all 3,763 prefixes
         prefixes = [_coloured([FIRST, second]) for second, _ in _matchings4(set(FIRST), 8)]
         assert len(prefixes) == 3763
-        keys = [_two_colour_key(p) for p in prefixes]
-        forms = [_encode_colored(p) for p in prefixes]
-        by_key = _first_by_key(keys)
-        assert len(by_key) == 32
-        # same classes, and the same first representative in the same order
-        assert by_key == _first_by_key(forms)
-        # the generated classes are the same 32, by key and, independently
-        # of the key, by canonical form
+        forms = {_encode_colored(p) for p in prefixes}
+        assert len(forms) == 32
         classes = [_coloured([FIRST, b_class]) for b_class, _ in _two_colour_classes()]
         assert len(classes) == 32
-        assert {_two_colour_key(c) for c in classes} == set(keys)
-        assert {_encode_colored(c) for c in classes} == set(forms)
+        assert {_encode_colored(c) for c in classes} == forms
 
     def test_generated_classes_are_prefixes(self):
         for b_class, n in _two_colour_classes():
@@ -195,26 +181,6 @@ class TestTwoColourKey:
             assert not set(b_class) & set(FIRST)
             # A covers 0..7, so the labels from 8 up are B's fresh ones
             assert b_vertices | set(range(8)) == set(range(n))
-
-    def test_8_cycle_is_not_two_4_cycles(self):
-        cycle8 = _coloured([[(0, 1), (2, 3), (4, 5), (6, 7)], [(1, 2), (3, 4), (5, 6), (0, 7)]])
-        two4 = _coloured([[(0, 1), (2, 3), (4, 5), (6, 7)], [(1, 2), (0, 3), (5, 6), (4, 7)]])
-        assert _two_colour_key(cycle8) == ((0, 8, -1),)
-        assert _two_colour_key(two4) == ((0, 4, -1), (0, 4, -1))
-        assert _encode_colored(cycle8) != _encode_colored(two4)
-
-    def test_odd_path_equals_its_colour_swap(self):
-        path = _coloured([[(0, 1), (2, 3)], [(1, 2)]])
-        swapped = _coloured([[(1, 2)], [(0, 1), (2, 3)]])
-        assert _two_colour_key(path) == _two_colour_key(swapped) == ((1, 3, 0),)
-        # an even path has one end of each colour, so no end colour
-        assert _two_colour_key(_coloured([[(0, 1)], [(1, 2)]])) == ((1, 2, -1),)
-
-    def test_edge_on_fresh_vertices_is_counted(self):
-        square = [[(0, 1), (2, 3)], [(1, 2), (0, 3)]]
-        plus_edge = _coloured([square[0] + [(4, 5)], square[1]])
-        assert _two_colour_key(plus_edge) == ((0, 4, -1), (1, 1, 0))
-        assert _two_colour_key(plus_edge) != _two_colour_key(_coloured(square))
 
     def test_canon_calls_are_pinned(self, monkeypatch):
         # the two-colour classes are built without labelling: the

@@ -215,8 +215,6 @@ def parse_json_graph(text: str) -> LinearThreeGraph:
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise LinearityError("JSON graph must be an object with 'n' and 'edges'")
     n, edges = obj["n"], obj["edges"]
-    if not _is_int(n):
-        raise LinearityError(f"JSON 'n' must be an integer, got {n!r}")
     if not isinstance(edges, list):
         raise LinearityError("JSON 'edges' must be a list of 3-integer lists")
     for t in edges:

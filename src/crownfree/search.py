@@ -18,9 +18,9 @@ H+e (_least_key_additions).  Crown-free runs then drop the candidates e
 for which H's tables say not free(e), those that would make a crown
 through the new edge; the parent is crown-free, so that is exactly when
 the child has a crown.  The tables (crowns.CrownTables) are not rebuilt
-per node: a child holds its parent's and its own edge, and extends them
-when it is expanded, which rebuilds only the entries at the edge's three
-vertices and at the other two vertices of each edge through them.  If
+per node: a child extends its parent's by its own edge when it is built,
+which rebuilds only the entries at the edge's three vertices and at the
+other two vertices of each edge through them.  If
 at least two candidates are left and two of them have the same sorted
 triple of H's vertex keys, H is labelled and they are cut to one per
 Aut(H)-orbit, the first in candidate order; if every candidate's triple
@@ -89,57 +89,43 @@ class ExtremalCertificate(namedtuple("ExtremalCertificate", "n value witnesses n
 
 
 class _Node:
-    """Search node: edges plus cheap derived state.  Everything is fixed
-    at construction except two fields filled in lazily.  canonical()
-    labels the node when _accept has to break a tie, when two candidates
-    left to cut to orbits share their vertex keys, or when the node is
-    kept as a witness.  tables() builds its crowns.CrownTables when the
-    node is expanded: a child keeps its parent's tables and its own edge,
-    and extends them then; a node built without a parent folds its edges
-    into empty tables."""
+    """Search node: edges plus cheap derived state, among them the node's
+    crowns.CrownTables, which _extend builds from the parent's.  Everything
+    is fixed at construction except canon: canonical() labels the node when
+    _accept has to break a tie, when two candidates left to cut to orbits
+    share their vertex keys, or when the node is kept as a witness."""
 
-    __slots__ = ("edges", "cov", "degs", "canon", "_tables", "_up")
+    __slots__ = ("edges", "cov", "degs", "tables", "canon")
 
     def __init__(self, edges: tuple[Triple, ...], cov: int, degs: tuple[int, ...],
-                 up: tuple[CrownTables, Triple] | None = None):
+                 tables: CrownTables):
         self.edges = edges
         self.cov = cov
         self.degs = degs
+        self.tables = tables
         self.canon: CanonResult | None = None
-        self._tables: CrownTables | None = None
-        self._up = up
 
     def canonical(self) -> CanonResult:
         if self.canon is None:
             self.canon = canonical_edges(max(self.cov, 1), self.edges)
         return self.canon
 
-    def tables(self) -> CrownTables:
-        if self._tables is None:
-            if self._up is None:
-                self._tables = CrownTables.of(self.edges, self.cov + 3)
-            else:
-                parent, e = self._up
-                self._tables = parent.extend(e)
-                self._up = None
-        return self._tables
-
     def graph(self) -> LinearThreeGraph:
         return LinearThreeGraph(self.cov or 1, self.edges)
 
 
 def _root() -> _Node:
-    return _Node((), 0, ())
+    return _Node((), 0, (), CrownTables.of(()))
 
 
 def _extend(node: _Node, e: Triple) -> _Node:
-    """Child node for edge e, holding node's tables to extend by e."""
+    """Child node for edge e, whose tables are node's extended by e."""
     cov = max(node.cov, e[2] + 1)
     edges = tuple(sorted(node.edges + (e,)))
     degs = list(node.degs) + [0] * (cov - node.cov)
     for v in e:
         degs[v] += 1
-    return _Node(edges, cov, tuple(degs), (node.tables(), e))
+    return _Node(edges, cov, tuple(degs), node.tables.extend(e))
 
 
 def _candidate_edges(node: _Node, max_vertices: int) -> list[Triple]:
@@ -155,7 +141,7 @@ def _candidate_edges(node: _Node, max_vertices: int) -> list[Triple]:
     every least-degree covered vertex, and none when there are more than
     three.  The triples through new vertices are all listed."""
     cov = node.cov
-    nbrs = node.tables().nbrs
+    nbrs = node.tables.nbrs
     out: list[Triple] = []
     if node.edges:
         degs = node.degs
@@ -314,17 +300,15 @@ def _walk(max_vertices: int, crown_free: bool) -> Iterator[_Node]:
     the steps of the module docstring; the crown cut, free(e) on the
     node's tables, applies only if crown_free.  A node is labelled for its
     orbits only if two candidates are left with the same sorted triple of
-    _vertex_keys, and a child node, which extends the node's tables only
-    when it is expanded in turn, is built only for an orbit
-    representative."""
+    _vertex_keys, and a child node, which extends the node's tables by
+    its edge, is built only for an orbit representative."""
     stack = [_root()]
     while stack:
         node = stack.pop()
         yield node
         candidates = _least_key_additions(node, _candidate_edges(node, max_vertices))
-        if crown_free and candidates:
-            tables = node.tables()
-            candidates = [t for t in candidates if tables.free(t)]
+        if crown_free:
+            candidates = [t for t in candidates if node.tables.free(t)]
         if len(candidates) > 1:
             vk = _vertex_keys(node)
             keys = {tuple(sorted((vk[a], vk[b], vk[c]))) for a, b, c in candidates}
@@ -376,8 +360,8 @@ def exact_ex(
     certificate's params.  Every witness returned (at most
     WITNESS_CAP) is rechecked against crown_oracle.
 
-    A NaN or negative budget is a ValueError.  Both budgets are checked
-    before each node is taken, and a stop returns exhaustive=False.
+    A NaN, infinite or negative budget is a ValueError.  Both budgets are
+    checked before each node is taken, and a stop returns exhaustive=False.
     max_seconds can therefore be overrun by the expansion of one node (its
     candidates' crown checks and canonical tests).  The budget does not
     cover building the gadget before the search, nor the crown_oracle
@@ -389,8 +373,8 @@ def exact_ex(
     """
     if n < 3:
         raise ValueError("need n >= 3")
-    if max_seconds is not None and (math.isnan(max_seconds) or max_seconds < 0):
-        raise ValueError(f"max_seconds must be a number >= 0, not {max_seconds}")
+    if max_seconds is not None and not 0 <= max_seconds < math.inf:
+        raise ValueError(f"max_seconds must be a finite number >= 0, not {max_seconds}")
     if max_nodes is not None and max_nodes < 0:
         raise ValueError(f"max_nodes must be >= 0, not {max_nodes}")
     t0 = time.monotonic()

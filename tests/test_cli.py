@@ -59,22 +59,23 @@ class TestCheck:
         p.write_text(validate_linear(FANO_EDGES, 7).to_json())
         assert run(["check", str(p)]) == 0
 
-    @pytest.mark.parametrize("text", [
-        '{"n": "5", "edges": []}',
-        '{"n": true, "edges": []}',
-        '{"n": 5.0, "edges": []}',
-        '{"n": 5, "edges": "012"}',
-        '{"n": 5, "edges": {"0": [0, 1, 2]}}',
-        '{"n": 5, "edges": [[0, 1]]}',
-        '{"n": 5, "edges": [[0, 1, "2"]]}',
-        '{"n": 5, "edges": [[0, 1, false]]}',
-        '{"n": 5, "edges": [7]}',
-    ])
-    def test_json_wrong_types_exit_1(self, tmp_path, capsys, text):
+    @pytest.mark.parametrize("text,message", [pytest.param(t, m, id=t) for t, m in [
+        # a bad n is reported by validate_linear, after the edges are read
+        ('{"n": "5", "edges": []}', "n must be an integer, got '5'"),
+        ('{"n": true, "edges": []}', "n must be an integer, got True"),
+        ('{"n": 5.0, "edges": []}', "n must be an integer, got 5.0"),
+        ('{"n": 5, "edges": "012"}', "JSON 'edges' must be a list of 3-integer lists"),
+        ('{"n": 5, "edges": {"0": [0, 1, 2]}}', "JSON 'edges' must be a list of 3-integer lists"),
+        ('{"n": 5, "edges": [[0, 1]]}', "JSON edge [0, 1] is not a list of 3 integers"),
+        ('{"n": 5, "edges": [[0, 1, "2"]]}', "JSON edge [0, 1, '2'] is not a list of 3 integers"),
+        ('{"n": 5, "edges": [[0, 1, false]]}', "JSON edge [0, 1, False] is not a list of 3 integers"),
+        ('{"n": 5, "edges": [7]}', "JSON edge 7 is not a list of 3 integers"),
+    ]])
+    def test_json_wrong_types_exit_1(self, tmp_path, capsys, text, message):
         p = tmp_path / "g.json"
         p.write_text(text)
         assert run(["check", str(p)]) == 1
-        assert capsys.readouterr().err.startswith("error: JSON")
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 _json_values = st.recursive(
@@ -192,7 +193,8 @@ class TestExact:
         assert "INCOMPLETE" in capsys.readouterr().out
 
     @pytest.mark.parametrize("flag,value", [
-        ("--max-seconds", "nan"), ("--max-seconds", "-1"), ("--max-nodes", "-1"),
+        ("--max-seconds", "nan"), ("--max-seconds", "-1"), ("--max-seconds", "inf"),
+        ("--max-nodes", "-1"),
     ])
     def test_bad_budget_usage_error(self, capsys, flag, value):
         assert run(["exact", "--n", "9", flag, value]) == 1

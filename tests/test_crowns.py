@@ -303,7 +303,7 @@ class TestHasCrownContaining:
         nodes = list(search._walk(9, crown_free=True))
         for node in nodes:
             candidates = all_candidate_edges(node, 9)
-            tables = node.tables()
+            tables = node.tables
             decisions.extend((node.edges, t, not tables.free(t)) for t in candidates)
         assert len(nodes) == 125  # 124 classes and the empty root
         assert len(decisions) > 500
@@ -383,7 +383,7 @@ class TestCrownTables:
             for e in H.edges:
                 node = _extend(node, e)
             cands = all_candidate_edges(node, 10)
-            got = [t for t in cands if node.tables().free(t)]
+            got = [t for t in cands if node.tables.free(t)]
             assert got == _reference_additions(H.edges, cands), H.edges
             hits += len(cands) - len(got)
             misses += len(got)
@@ -420,13 +420,25 @@ class TestCrownTables:
             assert _same_tables(tables, CrownTables.of(sorted(edges), n)), edges
         assert hits > 20000 and misses > 40000
 
-    def test_walk_tables_equal_rebuilt_to_n10(self):
-        # each node of the crown-free walk extends its parent's tables by
-        # its own edge; those must be the tables of its edge list
+    def test_walk_tables_equal_rebuilt_to_n10(self, monkeypatch):
+        # each child the crown-free walk builds, whether _accept keeps it
+        # or not, extends its parent's tables by its own edge; those must
+        # be the tables of its edge list
+        built = []
+        real = search._extend
+
+        def recording(node, e):
+            built.append(real(node, e))
+            return built[-1]
+
+        monkeypatch.setattr(search, "_extend", recording)
         nodes = list(search._walk(10, crown_free=True))
-        for node in nodes:
-            assert _same_tables(node.tables(), CrownTables.of(node.edges)), node.edges
-        assert len(nodes) == 618
+        monkeypatch.undo()
+        for node in [nodes[0]] + built:
+            assert _same_tables(node.tables, CrownTables.of(node.edges)), node.edges
+        # 617 children accepted and 131 rejected
+        assert len(nodes) == 618 and len(built) == 748
+        assert {id(node) for node in nodes[1:]} < {id(child) for child in built}
 
     def test_entries_for_three_new_labels(self):
         # a triple on the next three labels has entries, and is free

@@ -84,7 +84,7 @@ class TestValidateMessages:
         ([(0, 1, 2), (0, 1, 3)], 4, "edges #0 [0, 1, 2] and #1 [0, 1, 3] share pair {0, 1}"),
         ([[0, 1, 2], [0, 3, 4], [0, 1, 5]], 6,
          "edges #0 [0, 1, 2] and #1 [0, 1, 5] share pair {0, 1}"),
-        # n is checked before any triple, as parse_json_graph checks it
+        # n is checked before any triple
         ([(0, 1, 2)], 3.5, "n must be an integer, got 3.5"),
         ([], True, "n must be an integer, got True"),
     ])
@@ -99,12 +99,12 @@ class TestValidateMessages:
         g = validate_linear([(x for x in (2, 0, 1)), iter([3, 4, 0])], 5)
         assert g.edges == ((0, 1, 2), (0, 3, 4))
 
-    def test_generator_of_triples_falls_back_intact(self):
+    def test_generator_of_triples_read_once(self):
         # the triples are read once; the unsorted third is normalised
         g = validate_linear((t for t in [(0, 1, 2), (0, 3, 4), (6, 5, 1)]), 7)
         assert g.edges == ((0, 1, 2), (0, 3, 4), (1, 5, 6))
 
-    def test_fast_path_sorts_edges(self):
+    def test_unsorted_edges_sorted(self):
         g = validate_linear([(1, 3, 5), (0, 3, 4), (0, 1, 2)], 6)
         assert g.edges == ((0, 1, 2), (0, 3, 4), (1, 3, 5))
 
@@ -208,6 +208,18 @@ class TestSerialization:
         text = '{"n": 3, "edges": ' + "[" * 100_000 + "]" * 100_000 + "}"
         with pytest.raises(LinearityError, match="^invalid JSON: nesting too deep$"):
             parse_json_graph(text)
+
+    @pytest.mark.parametrize("text,message", [
+        ('{"n": "5", "edges": []}', "n must be an integer, got '5'"),
+        ('{"n": false, "edges": [[0, 1, 2]]}', "n must be an integer, got False"),
+        # the edges are checked before n, which validate_linear checks
+        ('{"n": "5", "edges": "012"}', "JSON 'edges' must be a list of 3-integer lists"),
+        ('{"n": 2.5, "edges": [[0, 1]]}', "JSON edge [0, 1] is not a list of 3 integers"),
+    ])
+    def test_json_message(self, text, message):
+        with pytest.raises(LinearityError) as info:
+            parse_json_graph(text)
+        assert str(info.value) == message
 
     def test_json_roundtrip(self, fano):
         assert parse_json_graph(fano.to_json()).edges == fano.edges

@@ -18,6 +18,7 @@ from crownfree import (
     validate_linear,
 )
 from crownfree.canon import canonical_edges, canonical_form
+from crownfree.crowns import CrownTables
 from crownfree.lemmas import induced_graph_of_G
 from crownfree import search
 from crownfree.search import (
@@ -281,7 +282,7 @@ class TestOrbitReps:
             reps = _orbit_reps(cands, gens)
             assert reps == _closure_reps(cands, gens), H.edges
             split += len(reps) < len(cands)
-            kept = [t for t in cands if node.tables().free(t)]
+            kept = [t for t in cands if node.tables.free(t)]
             assert _orbit_reps(kept, gens) == [t for t in reps if t in kept], H.edges
         assert split > 100
 
@@ -294,7 +295,7 @@ def _parent_of(edges, e):
     for f in rest:
         for v in f:
             degs[v] += 1
-    return _Node(rest, 9, tuple(degs))
+    return _Node(rest, 9, tuple(degs), CrownTables.of(rest, 12))
 
 
 class TestDeletionEdge:
@@ -369,7 +370,7 @@ class TestParentOrbitCut:
         unlabelled = 0
         for node in nodes:
             unlabelled += node.canon is None
-            tables = node.tables()
+            tables = node.tables
             cands = [t for t in _least_key_additions(node, all_candidate_edges(node, 10)) if tables.free(t)]
             assert expanded.get(node.edges, []) == _orbit_reps(cands, node.canonical().auts), node.edges
         assert len(nodes) == 618 and unlabelled > 300

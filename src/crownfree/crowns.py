@@ -5,11 +5,10 @@ each base vertex.  Equivalently, the 3-edge-colored link graph of the base
 has a rainbow matching, so find_crown_with_base does not validate the
 witness it builds from one.  For growing a graph edge by edge,
 CrownTables answers whether a triple would lie on a crown, and is carried
-from a graph to the graph plus one edge by rebuilding only the entries
-that edge changes: the search builds each child's tables from its
-parent's when it builds the child.  A brute-force oracle, the definition
-read base by base on plain sets, is kept alongside as an independent
-check.
+from a graph to the graph plus one edge by adding that edge at its three
+vertices: the search builds each child's tables from its parent's when
+it builds the child.  A brute-force oracle, the definition read base by
+base on plain sets, is kept alongside as an independent check.
 It takes about 0.003, 0.008 and 0.02 s on the lower-bound gadget at
 n = 43, 63 and 103 (one core of a 2-vCPU host, Python 3.11).
 """
@@ -118,8 +117,8 @@ def _pair_masks(pairs) -> list[int]:
 
 def _disjoint_triple(la: Sequence[int], lb: Sequence[int], lc: Sequence[int]) -> tuple[int, int, int] | None:
     """First index triple (i, j, k) in product order for which the masks
-    la[i], lb[j] and lc[k] are pairwise disjoint, or None.  Every crown
-    test asks this of the masks of three colour classes."""
+    la[i], lb[j] and lc[k] are pairwise disjoint, or None.  The rainbow
+    and base tests ask this of the masks of three colour classes."""
     for ma in la:
         for mb in lb:
             if ma & mb:
@@ -165,37 +164,29 @@ class CrownTables:
     """The bitmask tables of one linear graph that say, for a triple t
     sharing at most one vertex with each edge, whether adding t makes a
     crown through t.  Per vertex v:
-    - at[v]: the masks of the edges through v.  t is the base of a crown
-      when three of them, one at each vertex of t, are pairwise disjoint.
+    - at[v]: the masks of the edges through v.
     - nbrs[v]: the mask of the vertices that share an edge with v, so a
       pair {u, v} is free iff bit u of nbrs[v] is clear.
-    - jewels[v]: for each base f = {v, y, z}, the unions g | h of the
-      disjoint pairs of edges g at y and h at z.  g = f or h = f would
-      meet the other in a vertex of f, so disjointness alone keeps f out.
-      t, which contains v, is the jewel at v of a crown when one of these
-      unions misses t.
     Entries run to the largest covered label plus three, the labels a new
     triple can take; a table is never changed once built.  extend(t)
-    gives the tables of the graph plus t, copying only the entries that t
-    changes, so each union a node's tables hold was built once, in the
-    ancestor (or the node) whose edge is the last of its three, and is
-    shared from there.  The search builds every child's tables, including
-    the children its canonical test then rejects.  Adding t to a
-    crown-free graph creates a crown iff one goes through t, so free(t) is
-    how the search filters a node's candidates.
+    gives the tables of the graph plus t, changing only the entries at
+    t's three vertices.  The search builds every child's tables,
+    including the children its canonical test then rejects.  Adding t to
+    a crown-free graph creates a crown iff one goes through t, as its
+    base or as one of its jewels, so free(t) is how the search filters a
+    node's candidates.
     """
 
-    __slots__ = ("at", "nbrs", "jewels")
+    __slots__ = ("at", "nbrs")
 
-    def __init__(self, at: list[tuple[int, ...]], nbrs: list[int], jewels: list[tuple[int, ...]]):
+    def __init__(self, at: list[tuple[int, ...]], nbrs: list[int]):
         self.at = at
         self.nbrs = nbrs
-        self.jewels = jewels
 
     @classmethod
     def of(cls, edges: Sequence[Triple], size: int = 3) -> CrownTables:
         """The tables of edges, with entries for at least labels below size."""
-        tables = cls([()] * size, [0] * size, [()] * size)
+        tables = cls([()] * size, [0] * size)
         for f in edges:
             tables = tables.extend(f)
         return tables
@@ -206,54 +197,42 @@ class CrownTables:
         a, b, c = t
         ba, bb, bc = 1 << a, 1 << b, 1 << c
         tm = ba | bb | bc
-        at, nbrs, jewels = self.at[:], self.nbrs[:], self.jewels[:]
+        at, nbrs = self.at[:], self.nbrs[:]
         grow = c + 4 - len(at)
         if grow > 0:
             at += [()] * grow
             nbrs += [0] * grow
-            jewels += [()] * grow
-        at_a, at_b, at_c = at[a], at[b], at[c]
-        # t at the vertex v of a base f = {v, x, z}: the unions t | h with h
-        # at z go to x, and those with h at x go to z.  x and z are not in
-        # t, so their edge lists do not change, and f itself meets t.
-        new: dict[int, list[int]] = {}
-        for v, bv, at_v in ((a, ba, at_a), (b, bb, at_b), (c, bc, at_c)):
-            for mf in at_v:
-                rest = mf ^ bv
-                x = (rest & -rest).bit_length() - 1
-                z = rest.bit_length() - 1
-                for mh in at[z]:
-                    if not mh & tm:
-                        new.setdefault(x, []).append(tm | mh)
-                for mh in at[x]:
-                    if not mh & tm:
-                        new.setdefault(z, []).append(tm | mh)
-        for v, us in new.items():
-            jewels[v] += tuple(us)
-        # t as the base, from the edges before t
-        if at_b and at_c:
-            jewels[a] += tuple([mg | mh for mg in at_b for mh in at_c if not mg & mh])
-        if at_a:
-            if at_c:
-                jewels[b] += tuple([mg | mh for mg in at_a for mh in at_c if not mg & mh])
-            if at_b:
-                jewels[c] += tuple([mg | mh for mg in at_a for mh in at_b if not mg & mh])
-        at[a], at[b], at[c] = at_a + (tm,), at_b + (tm,), at_c + (tm,)
+        at[a] += (tm,)
+        at[b] += (tm,)
+        at[c] += (tm,)
         nbrs[a] |= bb | bc
         nbrs[b] |= ba | bc
         nbrs[c] |= ba | bb
-        return CrownTables(at, nbrs, jewels)
+        return CrownTables(at, nbrs)
 
     def free(self, t: Triple) -> bool:
         """True iff adding t, whose labels have entries, makes no crown
-        through t."""
+        through t.
+
+        t is the jewel at v of a base f = {v, y, z} when some g at y and
+        some h at z miss t and each other; f meets t, so it is neither.
+        t is a base when three edges, one at each of its vertices, are
+        pairwise disjoint.  Most triples that make a crown make it only as
+        a jewel, so that case is tested first."""
         a, b, c = t
         tm = (1 << a) | (1 << b) | (1 << c)
-        jewels = self.jewels
-        for u in jewels[a] + jewels[b] + jewels[c]:
-            if not u & tm:
-                return False  # t is a jewel
         at = self.at
+        for v in t:
+            for mf in at[v]:
+                rest = mf ^ (1 << v)
+                y = (rest & -rest).bit_length() - 1
+                at_z = at[rest.bit_length() - 1]
+                for mg in at[y]:
+                    if not mg & tm:
+                        mgt = mg | tm
+                        for mh in at_z:
+                            if not mh & mgt:
+                                return False  # t is a jewel
         return _disjoint_triple(at[a], at[b], at[c]) is None  # t is no base
 
 

@@ -19,9 +19,8 @@ for which H's tables say not free(e), those that would make a crown
 through the new edge; the parent is crown-free, so that is exactly when
 the child has a crown.  The tables (crowns.CrownTables) are not rebuilt
 per node: a child extends its parent's by its own edge when it is built,
-which rebuilds only the entries at the edge's three vertices and at the
-other two vertices of each edge through them.  If
-at least two candidates are left and two of them have the same sorted
+which changes only the entries at the edge's three vertices.  If at
+least two candidates are left and two of them have the same sorted
 triple of H's vertex keys, H is labelled and they are cut to one per
 Aut(H)-orbit, the first in candidate order; if every candidate's triple
 differs, each is its own orbit and the cut would keep them all.  That

@@ -79,7 +79,8 @@ def _link_classes(H: LinearThreeGraph, e: int) -> tuple[list, list, list]:
     """The link of base e split by base vertex: for each vertex x of e in
     turn, the (y, z, i), y < z, of every other edge i = {x, y, z} meeting
     e at x, in edge-id order.  An edge sharing two vertices with e is a
-    ValueError."""
+    ValueError.  find_crown_with_base, link_graph and greedy_crown_642
+    read a base's link through it."""
     base = H.edge(e)
     classes: tuple[list, list, list] = ([], [], [])
     at = dict(zip(base, classes))
@@ -238,8 +239,6 @@ class CrownTables:
 
 def find_crown(H: LinearThreeGraph) -> CrownWitness | None:
     """First crown witness scanning bases in edge-id order; None iff crown-free."""
-    if len(H.edges) < 4:
-        return None
     for e in range(len(H.edges)):
         w = find_crown_with_base(H, e)
         if w is not None:
@@ -250,37 +249,31 @@ def find_crown(H: LinearThreeGraph) -> CrownWitness | None:
 def greedy_crown_642(H: LinearThreeGraph, e: int) -> CrownWitness:
     """Constructive witness for a base with degree vector >= (6,4,2).
 
-    Picks a jewel through the minimum-degree endpoint, then one through the
+    Degrees and jewels come from the base's link classes: in a linear
+    graph every other edge through a base vertex meets the base there
+    alone, so the vertex's degree is its class size plus one.  Picks a
+    jewel through the minimum-degree endpoint, then one through the
     middle endpoint avoiding it, then one through the maximum-degree
     endpoint avoiding both; the counting argument guarantees each choice
-    exists.  Ties broken by least edge id.
+    exists.  Endpoints of equal degree go in label order, and each jewel
+    is the least edge id available.
     """
     base = H.edge(e)
-    x, y, z = base
-    dx = dy = dz = 0  # the base's degrees only, in one pass over the edges
-    for f in H.edges:
-        if x in f:
-            dx += 1
-        if y in f:
-            dy += 1
-        if z in f:
-            dz += 1
-    d = {x: dx, y: dy, z: dz}
+    link = dict(zip(base, _link_classes(H, e)))
+    d = {v: len(cls) + 1 for v, cls in link.items()}
     dv = degree_vector(d, base)
     if not dominates(dv, (6, 4, 2)):
         raise ValueError(f"degree vector {dv} does not dominate (6, 4, 2)")
-    # endpoints ordered by ascending degree, ties by index
-    endpoints = sorted(base, key=lambda v: (d[v], v))
     chosen: list[int] = []
     used: set[int] = set()
-    for v in endpoints:
-        for i, f in enumerate(H.edges):
-            if v in f and i != e and used.isdisjoint(f):
+    for v in sorted(base, key=lambda v: (d[v], v)):
+        for y, z, i in link[v]:
+            if y not in used and z not in used:
                 break
         else:  # cannot happen under the precondition
             raise AssertionError(f"no available jewel through vertex {v}")
         chosen.append(i)
-        used.update(f)
+        used.update((y, z))  # a jewel meets the base at its own vertex alone
     w = CrownWitness(e, tuple(chosen))
     w.validate(H)
     return w

@@ -481,7 +481,7 @@ def random_degree_function(rng: random.Random) -> list[int]:
     if rng.random() < 0.7:
         d[_below(g, n)] = 9 + _below(g, 7)  # the degree is drawn before the vertex
     remaining = target - sum(d)
-    while remaining < 0:  # planted degree overshot on a tiny n
+    if remaining < 0:  # planted degree overshot on a tiny n
         d = [2] * n
         remaining = target - sum(d)
     for _ in range(remaining):

@@ -198,11 +198,21 @@ def link_route_jewels(H, e):
 
 class TestFindCrownWithBase:
     def assert_every_base_agrees(self, H):
+        """Each base's witness matches the link route; greedy_crown_642
+        gives a valid witness on every base dominating (6, 4, 2) and the
+        domination error on every other."""
         for e in range(len(H.edges)):
             w = find_crown_with_base(H, e)
             assert (None if w is None else w.jewels) == link_route_jewels(H, e)
             if w is not None:
                 w.validate(H)
+            if dominates(H.degree_vector(e), (6, 4, 2)):
+                g = greedy_crown_642(H, e)
+                assert g.base == e
+                g.validate(H)
+            else:
+                with pytest.raises(ValueError, match=r"^degree vector \(\d+, \d+, \d+\) does not dominate"):
+                    greedy_crown_642(H, e)
 
     def test_link_route_on_random_graphs(self):
         rng = random.Random(17)
@@ -231,8 +241,9 @@ class TestFindCrownWithBase:
 
     def test_two_shared_vertices_rejected(self):
         H = LinearThreeGraph(5, ((0, 1, 2), (0, 1, 3), (2, 3, 4)))
-        with pytest.raises(ValueError, match=r"^edges \(0, 1, 2\) and \(0, 1, 3\) share two vertices"):
-            find_crown_with_base(H, 0)
+        for f in (find_crown_with_base, greedy_crown_642):
+            with pytest.raises(ValueError, match=r"^edges \(0, 1, 2\) and \(0, 1, 3\) share two vertices"):
+                f(H, 0)
 
 
 class TestOracle:

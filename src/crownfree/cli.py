@@ -87,8 +87,7 @@ def cmd_random(args) -> int:
 def cmd_link(args) -> int:
     H = _load_graph(args.file)
     if not (0 <= args.edge < len(H.edges)):
-        print(f"edge id {args.edge} out of range (m={len(H.edges)})", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"edge id {args.edge} out of range (m={len(H.edges)})")
     G = link_graph(H, args.edge)
     if args.dot:
         sys.stdout.write(G.to_dot())

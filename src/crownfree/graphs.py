@@ -112,10 +112,11 @@ def validate_linear(triples: Iterable[Sequence[int]], n: int) -> LinearThreeGrap
     """Validate and normalize a raw triple list into a LinearThreeGraph.
 
     Raises LinearityError on an n that is not a positive int, or naming
-    the first offending triple or pair of edges: out-of-range index,
-    repeated vertex within a triple, duplicate edge, or two edges sharing
-    two vertices.  One loop reads the triples
-    once (a generator is not copied to a list) and checks and orders each.
+    the first offending triple or pair of edges: a triple that is not a
+    sequence, out-of-range index, repeated vertex within a triple,
+    duplicate edge, or two edges sharing two vertices.  One loop reads the
+    triples once (a generator is not copied to a list) and checks and
+    orders each.
     After one sort of the edge list, one pass over a set of pair keys finds
     the first duplicate or shared pair, and only then builds its message.
     """
@@ -125,7 +126,10 @@ def validate_linear(triples: Iterable[Sequence[int]], n: int) -> LinearThreeGrap
         raise LinearityError("vertex set must be non-empty (n >= 1)")
     norm: list[Triple] = []
     for t in triples:
-        t = list(t)
+        try:
+            t = list(t)
+        except TypeError:
+            raise LinearityError(f"edge {t!r} is not a sequence of vertices") from None
         if len(t) != 3:
             raise LinearityError(f"edge {t} does not have 3 vertices")
         for v in t:

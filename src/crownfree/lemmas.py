@@ -1,10 +1,13 @@
 """Mechanized replays of the structural lemmas on concrete instances.
 
 Each suite returns a ReplayReport whose failure list is empty iff the
-suite passes; reports are deterministic given their seed.  The planted
-instances are linear by construction and are not validated; the
-section 3 replay validates its extensions, and a refused one is a
-reported failure.
+suite passes; reports are deterministic given their seed.  The report
+counts, records and times the suite's checks: ReplayReport.check counts
+one instance and records a (name, detail) failure unless it held, and
+ReplayReport.done stops the clock started when the report was made.
+The planted instances are linear by construction and are not
+validated; the section 3 replay validates its extensions, and a refused
+one is a reported failure.
 
 The seeded corpora (the planted (6,4,2) instances and the random degree
 functions) take every integer draw from rng.getrandbits alone, through
@@ -36,8 +39,10 @@ from .graphs import LinearityError, LinearThreeGraph, Triple, validate_linear
 
 
 class ReplayReport:
-    """One suite's outcome; the suite fills in the fields as it runs.
-    failures holds (name, detail) pairs."""
+    """One suite's outcome.  It counts, records and times the suite's
+    checks: the clock starts when the report is made, check() counts one
+    instance and records its (name, detail) in failures unless it held,
+    and done() sets elapsed_ms and returns the report."""
 
     def __init__(self, suite: str, seed: int | None = None):
         self.suite = suite
@@ -45,6 +50,16 @@ class ReplayReport:
         self.failures: list[tuple[str, str]] = []
         self.elapsed_ms = 0.0
         self.seed = seed
+        self._t0 = time.monotonic()
+
+    def check(self, name: str, ok: bool, detail: str = "") -> None:
+        self.instances += 1
+        if not ok:
+            self.failures.append((name, detail))
+
+    def done(self) -> ReplayReport:
+        self.elapsed_ms = (time.monotonic() - self._t0) * 1000
+        return self
 
     @property
     def passed(self) -> bool:
@@ -249,27 +264,20 @@ def encode_canonical_G() -> tuple:
 
 def replay_section3() -> ReplayReport:
     """Replay the crown-extension argument around a (5,5,5) base edge."""
-    t0 = time.monotonic()
     rep = ReplayReport(suite="replay3")
-
-    def check(name: str, ok: bool, detail: str = "") -> None:
-        rep.instances += 1
-        if not ok:
-            rep.failures.append((name, detail))
-
     H0 = induced_graph_of_G()
     base_id = H0.edges.index((A, B, C))
-    check("base degree vector", H0.degree_vector(base_id) == (5, 5, 5))
-    check("|E| = 13", len(H0.edges) == 13)
-    check("H0 crown-free (oracle)", crown_oracle(H0) is None)
+    rep.check("base degree vector", H0.degree_vector(base_id) == (5, 5, 5))
+    rep.check("|E| = 13", len(H0.edges) == 13)
+    rep.check("H0 crown-free (oracle)", crown_oracle(H0) is None)
     X = set(range(11))
     ex_count = len(H0.edges_covering(X))
-    check("|E_X| = 13", ex_count == 13, f"got {ex_count}")
-    check("13 < 5|X|/3", 3 * ex_count < 5 * len(X))
+    rep.check("|E_X| = 13", ex_count == 13, f"got {ex_count}")
+    rep.check("13 < 5|X|/3", 3 * ex_count < 5 * len(X))
     degs = H0.degrees()
-    check("degrees in {3,5}", sorted(set(degs)) == [3, 5]
-          and all(degs[v] == 5 for v in (A, B, C))
-          and all(degs[v] == 3 for v in range(3, 11)))
+    rep.check("degrees in {3,5}", sorted(set(degs)) == [3, 5]
+              and all(degs[v] == 5 for v in (A, B, C))
+              and all(degs[v] == 3 for v in range(3, 11)))
 
     v1, v2, v4, v5, v6, v7 = V[1], V[2], V[4], V[5], V[6], V[7]
     for case, (w1, w2, n2) in (
@@ -280,10 +288,10 @@ def replay_section3() -> ReplayReport:
         try:
             H = validate_linear(list(H0.edges) + [f], n2)
         except LinearityError as exc:
-            check(f"{case}: extension is linear", False, str(exc))
+            rep.check(f"{case}: extension is linear", False, str(exc))
             continue
-        check(f"{case}: extension is linear", True)
-        check(f"{case}: crown found", find_crown(H) is not None)
+        rep.check(f"{case}: extension is linear", True)
+        rep.check(f"{case}: crown found", find_crown(H) is not None)
         base = H.edges.index(tuple(sorted((v1, v4, A))))
         jewels = (
             H.edges.index(f),
@@ -292,17 +300,14 @@ def replay_section3() -> ReplayReport:
         )
         try:
             CrownWitness(base, jewels).validate(H)
-            check(f"{case}: stated witness validates", True)
+            rep.check(f"{case}: stated witness validates", True)
         except ValueError as exc:
-            check(f"{case}: stated witness validates", False, str(exc))
-        check(f"{case}: crown with stated base", find_crown_with_base(H, base) is not None)
-
-    rep.elapsed_ms = (time.monotonic() - t0) * 1000
-    return rep
+            rep.check(f"{case}: stated witness validates", False, str(exc))
+        rep.check(f"{case}: crown with stated base", find_crown_with_base(H, base) is not None)
+    return rep.done()
 
 
 def verify_links555() -> ReplayReport:
-    t0 = time.monotonic()
     rep = ReplayReport(suite="links555")
     classes = enumerate_555_link_graphs()
     rep.instances = len(classes)
@@ -328,8 +333,7 @@ def verify_links555() -> ReplayReport:
                     rep.failures.append(
                         ("intersection pattern", f"edge ({u},{w}) color {col} hits {hits} of {other}")
                     )
-    rep.elapsed_ms = (time.monotonic() - t0) * 1000
-    return rep
+    return rep.done()
 
 
 def _below(getrandbits, m: int) -> int:
@@ -408,21 +412,18 @@ def verify_lemma1_on_corpus(seed: int = 0, count: int = 1000) -> ReplayReport:
     and a crown with the planted base must always be found.
     greedy_crown_642 tests the base's domination of (6,4,2) itself, so an
     instance that lost it is reported as a greedy failure."""
-    t0 = time.monotonic()
     rep = ReplayReport(suite="lemma1", seed=seed)
     rng = random.Random(seed)
     for i in range(count):
         H, e = plant_642_instance(rng)
-        rep.instances += 1
         try:
             greedy_crown_642(H, e)
         except (ValueError, AssertionError) as exc:
-            rep.failures.append((f"instance {i}", f"greedy failed: {exc}"))
+            rep.check(f"instance {i}", False, f"greedy failed: {exc}")
             continue
-        if find_crown_with_base(H, e) is None:
-            rep.failures.append((f"instance {i}", "no crown found with planted base"))
-    rep.elapsed_ms = (time.monotonic() - t0) * 1000
-    return rep
+        ok = find_crown_with_base(H, e) is not None
+        rep.check(f"instance {i}", ok, "no crown found with planted base")
+    return rep.done()
 
 
 def min_counterexample_order() -> int:
@@ -435,36 +436,28 @@ def min_counterexample_order() -> int:
 
 
 def verify_order11() -> ReplayReport:
-    t0 = time.monotonic()
     rep = ReplayReport(suite="order11")
     got = min_counterexample_order()
-    rep.instances = 1
-    if got != 11:
-        rep.failures.append(("order", f"expected 11, got {got}"))
-    rep.elapsed_ms = (time.monotonic() - t0) * 1000
-    return rep
+    rep.check("order", got == 11, f"expected 11, got {got}")
+    return rep.done()
 
 
 def verify_discharge_suite(seed: int = 0, count: int = 200) -> ReplayReport:
     """Random valid degree functions through the builder and the verifier,
     including planted large degrees; one verifier call per instance also
     checks the Delta_v bound at every vertex of degree >= 9."""
-    t0 = time.monotonic()
     rep = ReplayReport(suite="discharge", seed=seed)
     rng = random.Random(seed)
     for i in range(count):
         d = random_degree_function(rng)
-        rep.instances += 1
         try:
             trace = build_discharge_sequence(d)
         except (ValueError, AssertionError) as exc:
-            rep.failures.append((f"instance {i}", f"builder failed: {exc}"))
+            rep.check(f"instance {i}", False, f"builder failed: {exc}")
             continue
         ok, bad = verify_discharge_trace(trace, d)
-        if not ok:
-            rep.failures.append((f"instance {i}", "; ".join(bad)))
-    rep.elapsed_ms = (time.monotonic() - t0) * 1000
-    return rep
+        rep.check(f"instance {i}", ok, "; ".join(bad))
+    return rep.done()
 
 
 def random_degree_function(rng: random.Random) -> list[int]:

@@ -55,7 +55,7 @@ from itertools import combinations
 
 from .canon import CanonResult, _orbit_roots, canonical_edges
 from .crowns import CrownTables, crown_oracle, find_crown
-from .graphs import LinearThreeGraph, Triple, validate_linear
+from .graphs import LinearThreeGraph, Triple, _is_int, validate_linear
 
 
 class ExtremalCertificate(namedtuple("ExtremalCertificate", "n value witnesses nodes_explored "
@@ -359,7 +359,8 @@ def exact_ex(
     certificate's params.  Every witness returned (at most
     WITNESS_CAP) is rechecked against crown_oracle.
 
-    A NaN, infinite or negative budget is a ValueError.  Both budgets are
+    A non-int n or max_nodes (bools included) is a ValueError, as is a
+    NaN, infinite or negative budget.  Both budgets are
     checked before each node is taken, and a stop returns exhaustive=False.
     max_seconds can therefore be overrun by the expansion of one node (its
     candidates' crown checks and canonical tests).  The budget does not
@@ -370,10 +371,14 @@ def exact_ex(
     oracle on it), so past that the overrun is seconds: 2 s at n = 1003
     and 10 s at n = 2003 (see the README).
     """
+    if not _is_int(n):
+        raise ValueError(f"n must be an int, not {n!r}")
     if n < 3:
         raise ValueError("need n >= 3")
     if max_seconds is not None and not 0 <= max_seconds < math.inf:
         raise ValueError(f"max_seconds must be a finite number >= 0, not {max_seconds}")
+    if max_nodes is not None and not _is_int(max_nodes):
+        raise ValueError(f"max_nodes must be an int, not {max_nodes!r}")
     if max_nodes is not None and max_nodes < 0:
         raise ValueError(f"max_nodes must be >= 0, not {max_nodes}")
     t0 = time.monotonic()
@@ -427,7 +432,10 @@ def lower_bound_construction(n: int) -> LinearThreeGraph:
     joined to the hub of its color.  Every edge contains a hub, and the two
     candidate jewels at the non-hub vertices of any base always intersect,
     so no crown exists; both properties are re-verified before returning.
+    A non-int n (bools included) or one below 3 is a ValueError.
     """
+    if not _is_int(n):
+        raise ValueError(f"n must be an int, not {n!r}")
     if n < 3:
         raise ValueError("need n >= 3")
     k = (n - 3) // 4
@@ -450,10 +458,12 @@ def random_linear_graph(n: int, m: int, seed: int) -> LinearThreeGraph:
     Returns fewer than m edges if the graph saturates (no triple with three
     free pairs is left) or RETRY_BUDGET rejections come first.  Saturation
     is tested when the rejection count is a power of two; every later draw
-    would be rejected, so stopping there gives the same edges.  An n below
-    1 or a negative m is a ValueError, since a graph needs a non-empty
-    vertex set.
+    would be rejected, so stopping there gives the same edges.  A non-int
+    n or m (bools included), an n below 1 or a negative m is a ValueError,
+    since a graph needs a non-empty vertex set.
     """
+    if not (_is_int(n) and _is_int(m)):
+        raise ValueError(f"n and m must be ints, not n = {n!r}, m = {m!r}")
     if n < 1 or m < 0:
         raise ValueError(f"need n >= 1 and m >= 0, not n = {n}, m = {m}")
     if m > n * (n - 1) // 6:

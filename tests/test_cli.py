@@ -222,9 +222,11 @@ class TestLink:
         assert run(["link", path, "--edge", "0", "--dot"]) == 0
         assert capsys.readouterr().out.startswith("graph link {")
 
-    def test_edge_out_of_range(self, tmp_path):
+    def test_edge_out_of_range(self, tmp_path, capsys):
+        # an input error like any other: one error: line on stderr
         path = write_graph(tmp_path, CROWN_EDGES, 9)
         assert run(["link", path, "--edge", "99"]) == 1
+        assert capsys.readouterr().err == "error: edge id 99 out of range (m=4)\n"
 
 
 class TestDischarge:

@@ -87,6 +87,9 @@ class TestValidateMessages:
         # n is checked before any triple
         ([(0, 1, 2)], 3.5, "n must be an integer, got 3.5"),
         ([], True, "n must be an integer, got True"),
+        # a triple that is not a sequence at all
+        ([5], 3, "edge 5 is not a sequence of vertices"),
+        ([None], 3, "edge None is not a sequence of vertices"),
     ])
     def test_message(self, triples, n, message):
         # the list, then a generator, which validate_linear reads once

@@ -225,6 +225,14 @@ class TestLemma1Corpus:
             ("instance 0", "greedy failed: degree vector (5, 5, 5) does not dominate (6, 4, 2)")
         ]
 
+    def test_missing_crown_is_reported_per_instance(self, monkeypatch):
+        monkeypatch.setattr(lemmas, "find_crown_with_base", lambda H, e: None)
+        rep = verify_lemma1_on_corpus(0, 3)
+        assert rep.failures == [
+            (f"instance {i}", "no crown found with planted base") for i in range(3)
+        ]
+        assert rep.instances == 3
+
     def test_deterministic_given_seed(self):
         r1 = verify_lemma1_on_corpus(seed=9, count=50)
         r2 = verify_lemma1_on_corpus(seed=9, count=50)
@@ -320,6 +328,12 @@ class TestOrder11:
     def test_suite(self):
         assert verify_order11().passed
 
+    def test_wrong_order_is_a_reported_failure(self, monkeypatch):
+        monkeypatch.setattr(lemmas, "min_counterexample_order", lambda: 12)
+        rep = verify_order11()
+        assert rep.failures == [("order", "expected 11, got 12")]
+        assert rep.instances == 1 and not rep.passed
+
 
 class TestDischargeSuite:
     def test_one_replay_per_instance(self, monkeypatch):
@@ -351,6 +365,18 @@ class TestDischargeSuite:
         assert "h(7) = 21 > 9 on a step touching a vertex of degree >= 9" in rep.failures[0][1]
         assert rep.failures[0][1].endswith("Delta_v = 0 < 36 at vertex 5")
 
+    def test_builder_failure_is_reported_per_instance(self, monkeypatch):
+        def refuse(d):
+            raise ValueError(f"refused {len(d)} degrees")
+
+        monkeypatch.setattr(lemmas, "random_degree_function", lambda rng: [5] * 6)
+        monkeypatch.setattr(lemmas, "build_discharge_sequence", refuse)
+        rep = verify_discharge_suite(0, 3)
+        assert rep.failures == [
+            (f"instance {i}", "builder failed: refused 6 degrees") for i in range(3)
+        ]
+        assert rep.instances == 3
+
 
 class TestRunSuite:
     def test_unknown(self):
@@ -364,6 +390,11 @@ class TestRunSuite:
         a, b = lemmas.ReplayReport("x"), lemmas.ReplayReport("x")
         a.failures.append(("name", "detail"))
         assert b.failures == [] and a.failures is not b.failures
+
+    @pytest.mark.parametrize("name", list(lemmas.ALL_SUITES))
+    def test_every_suite_is_timed(self, name):
+        # a suite that did not end with done() would report 0 ms
+        assert run_suite(name, 0, 5).elapsed_ms > 0
 
     def test_reports_serialize(self):
         obj = verify_order11().to_json_obj()

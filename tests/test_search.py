@@ -606,3 +606,22 @@ class TestRandomLinearGraph:
             assert random_linear_graph(n, m, seed).edges == want
             short += len(want) < m
         assert short >= 20
+
+
+class TestNonIntSizes:
+    """A size that is not an int, bools included, is refused at the
+    library boundary with a ValueError naming it."""
+
+    @pytest.mark.parametrize("call,message", [
+        (lambda: exact_ex(11.0), "n must be an int, not 11.0"),
+        (lambda: exact_ex(5, max_nodes=2.5), "max_nodes must be an int, not 2.5"),
+        (lambda: exact_ex(5, max_nodes=True), "max_nodes must be an int, not True"),
+        (lambda: lower_bound_construction(7.5), "n must be an int, not 7.5"),
+        (lambda: random_linear_graph(5.0, 1, 1), "n and m must be ints, not n = 5.0, m = 1"),
+        (lambda: random_linear_graph(5, 1.0, 1), "n and m must be ints, not n = 5, m = 1.0"),
+    ], ids=["exact_n", "exact_max_nodes", "exact_max_nodes_bool", "lower_bound_n",
+            "random_n", "random_m"])
+    def test_refused(self, call, message):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message

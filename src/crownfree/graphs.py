@@ -111,19 +111,24 @@ def _is_int(x) -> bool:
 def validate_linear(triples: Iterable[Sequence[int]], n: int) -> LinearThreeGraph:
     """Validate and normalize a raw triple list into a LinearThreeGraph.
 
-    Raises LinearityError on an n that is not a positive int, or naming
-    the first offending triple or pair of edges: a triple that is not a
-    sequence, out-of-range index, repeated vertex within a triple,
-    duplicate edge, or two edges sharing two vertices.  One loop reads the
-    triples once (a generator is not copied to a list) and checks and
-    orders each.
-    After one sort of the edge list, one pass over a set of pair keys finds
-    the first duplicate or shared pair, and only then builds its message.
+    Raises LinearityError on an n that is not a positive int, on triples
+    that are not iterable, or naming the first offending triple or pair of
+    edges: a triple that is not a sequence, out-of-range index, repeated
+    vertex within a triple, duplicate edge, or two edges sharing two
+    vertices.  One loop reads the triples once (a generator is not copied
+    to a list) and checks and sorts each.  After one sort of the edge list,
+    one dict from each pair x < y to the first edge holding it finds the
+    first duplicate edge or shared pair; a shared pair's message names
+    both edges from the dict.
     """
     if not _is_int(n):
         raise LinearityError(f"n must be an integer, got {n!r}")
     if n < 1:
         raise LinearityError("vertex set must be non-empty (n >= 1)")
+    try:
+        triples = iter(triples)
+    except TypeError:
+        raise LinearityError(f"triples must be an iterable of edges, got {triples!r}") from None
     norm: list[Triple] = []
     for t in triples:
         try:
@@ -137,34 +142,20 @@ def validate_linear(triples: Iterable[Sequence[int]], n: int) -> LinearThreeGrap
                 raise LinearityError(f"edge {t} has a non-integer vertex")
             if not (0 <= v < n):
                 raise LinearityError(f"edge {t}: vertex {v} out of range [0, {n})")
-        a, b, c = t
-        if a == b or a == c or b == c:
+        if len(set(t)) < 3:
             raise LinearityError(f"edge {t} repeats a vertex")
-        if a > b:
-            a, b = b, a
-        if b > c:
-            b, c = c, b
-            if a > b:
-                a, b = b, a
-        norm.append((a, b, c))
+        norm.append(tuple(sorted(t)))
     norm.sort()
-    seen: set[int] = set()  # pair x < y keyed as x*n + y
-    for i, e in enumerate(norm):
-        a, b, c = e
-        an = a * n
-        p, q, r = an + b, an + c, b * n + c
-        if p in seen or q in seen or r in seen:
-            if e == norm[i - 1]:
-                raise LinearityError(f"duplicate edge {list(e)}")
-            k = p if p in seen else q if q in seen else r
-            j = next(j for j, (x, y, z) in enumerate(norm)
-                     if k in (x * n + y, x * n + z, y * n + z))
-            raise LinearityError(
-                f"edges #{j} {list(norm[j])} and #{i} {list(e)} share pair {set(divmod(k, n))}"
-            )
-        seen.add(p)
-        seen.add(q)
-        seen.add(r)
+    holder: dict[tuple[int, int], int] = {}  # pair x < y -> first edge holding it
+    for i, (a, b, c) in enumerate(norm):
+        for pair in ((a, b), (a, c), (b, c)):
+            j = holder.setdefault(pair, i)
+            if j != i:
+                if norm[i] == norm[i - 1]:
+                    raise LinearityError(f"duplicate edge {list(norm[i])}")
+                raise LinearityError(
+                    f"edges #{j} {list(norm[j])} and #{i} {list(norm[i])} share pair {set(pair)}"
+                )
     return LinearThreeGraph(n, tuple(norm))
 
 

@@ -35,7 +35,7 @@ from .crowns import (
     greedy_crown_642,
 )
 from .discharging import build_discharge_sequence, verify_discharge_trace
-from .graphs import LinearityError, LinearThreeGraph, Triple, validate_linear
+from .graphs import LinearityError, LinearThreeGraph, Triple, _is_int, validate_linear
 
 
 class ReplayReport:
@@ -412,6 +412,8 @@ def verify_lemma1_on_corpus(seed: int = 0, count: int = 1000) -> ReplayReport:
     and a crown with the planted base must always be found.
     greedy_crown_642 tests the base's domination of (6,4,2) itself, so an
     instance that lost it is reported as a greedy failure."""
+    if not _is_int(count):
+        raise ValueError(f"count must be an int, not {count!r}")
     rep = ReplayReport(suite="lemma1", seed=seed)
     rng = random.Random(seed)
     for i in range(count):
@@ -446,6 +448,8 @@ def verify_discharge_suite(seed: int = 0, count: int = 200) -> ReplayReport:
     """Random valid degree functions through the builder and the verifier,
     including planted large degrees; one verifier call per instance also
     checks the Delta_v bound at every vertex of degree >= 9."""
+    if not _is_int(count):
+        raise ValueError(f"count must be an int, not {count!r}")
     rep = ReplayReport(suite="discharge", seed=seed)
     rng = random.Random(seed)
     for i in range(count):

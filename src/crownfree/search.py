@@ -327,7 +327,11 @@ def generate_all(max_vertices: int, crown_free_only: bool = False) -> Iterator[L
 
     With crown_free_only, subtrees containing a crown are cut (crown-free
     graphs are closed under edge deletion, so this loses nothing).
+    A max_vertices that is not an int, bools included, raises ValueError
+    on first iteration.
     """
+    if not _is_int(max_vertices):
+        raise ValueError(f"max_vertices must be an int, not {max_vertices!r}")
     for node in _walk(max_vertices, crown_free_only):
         if node.edges:
             yield node.graph()

@@ -49,10 +49,12 @@ class TestCheck:
         assert run(["check", str(tmp_path)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
-    def test_malformed_graph(self, tmp_path):
+    def test_malformed_graph(self, tmp_path, capsys):
         p = tmp_path / "bad.l3g"
         p.write_text("4 2\n0 1 2\n0 1 3\n")
         assert run(["check", str(p)]) == 1
+        assert capsys.readouterr().err == (
+            "error: edges #0 [0, 1, 2] and #1 [0, 1, 3] share pair {0, 1}\n")
 
     def test_json_input_autodetected(self, tmp_path, capsys):
         p = tmp_path / "g.json"

@@ -90,6 +90,11 @@ class TestValidateMessages:
         # a triple that is not a sequence at all
         ([5], 3, "edge 5 is not a sequence of vertices"),
         ([None], 3, "edge None is not a sequence of vertices"),
+        # the shared pair in the later edge's (a, c) position
+        ([(0, 2, 4), (0, 3, 4)], 5, "edges #0 [0, 2, 4] and #1 [0, 3, 4] share pair {0, 4}"),
+        # in its (b, c) position, and first held by an edge before the one just before
+        ([(1, 5, 6), (0, 5, 6), (1, 2, 3)], 7,
+         "edges #0 [0, 5, 6] and #2 [1, 5, 6] share pair {5, 6}"),
     ])
     def test_message(self, triples, n, message):
         # the list, then a generator, which validate_linear reads once
@@ -97,6 +102,12 @@ class TestValidateMessages:
             with pytest.raises(LinearityError) as info:
                 validate_linear(given, n)
             assert str(info.value) == message
+
+    @pytest.mark.parametrize("triples", [5, None])
+    def test_triples_not_iterable(self, triples):
+        with pytest.raises(LinearityError) as info:
+            validate_linear(triples, 3)
+        assert str(info.value) == f"triples must be an iterable of edges, got {triples}"
 
     def test_generator_triples_accepted(self):
         g = validate_linear([(x for x in (2, 0, 1)), iter([3, 4, 0])], 5)

@@ -412,6 +412,13 @@ class TestEmptySuite:
         assert not rep.passed and rep.to_json_obj()["passed"] is False
         assert "FAIL (no instances)" in rep.summary()
 
+    @pytest.mark.parametrize("suite", [verify_lemma1_on_corpus, verify_discharge_suite])
+    @pytest.mark.parametrize("count", [2.5, True])
+    def test_non_int_count_refused(self, suite, count):
+        with pytest.raises(ValueError) as info:
+            suite(0, count)
+        assert str(info.value) == f"count must be an int, not {count}"
+
     def test_failures_are_counted_in_summary(self):
         rep = verify_order11()
         rep.failures.append(("x", "y"))

@@ -619,8 +619,10 @@ class TestNonIntSizes:
         (lambda: lower_bound_construction(7.5), "n must be an int, not 7.5"),
         (lambda: random_linear_graph(5.0, 1, 1), "n and m must be ints, not n = 5.0, m = 1"),
         (lambda: random_linear_graph(5, 1.0, 1), "n and m must be ints, not n = 5, m = 1.0"),
+        (lambda: list(generate_all(5.0)), "max_vertices must be an int, not 5.0"),
+        (lambda: list(generate_all(True)), "max_vertices must be an int, not True"),
     ], ids=["exact_n", "exact_max_nodes", "exact_max_nodes_bool", "lower_bound_n",
-            "random_n", "random_m"])
+            "random_n", "random_m", "generate_all_float", "generate_all_bool"])
     def test_refused(self, call, message):
         with pytest.raises(ValueError) as info:
             call()

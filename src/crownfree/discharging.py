@@ -52,7 +52,10 @@ def t_star(H: LinearThreeGraph) -> int:
 
 
 def lemma2_rhs(n: int, L: int) -> Fraction:
-    """Exact rational (25n + 14L) / ((5n + 2) / 3)."""
+    """Exact rational (25n + 14L) / ((5n + 2) / 3).  A non-int n or L,
+    bools included, is a ValueError, as is n < 1 or L < 0."""
+    if not (_is_int(n) and _is_int(L)):
+        raise ValueError(f"n and L must be ints, not n = {n!r}, L = {L!r}")
     if n < 1 or L < 0:
         raise ValueError("need n >= 1 and L >= 0")
     return Fraction(3 * (25 * n + 14 * L), 5 * n + 2)
@@ -107,8 +110,9 @@ _Bookkeeping = namedtuple("_Bookkeeping", "t delta g h delta_v fk")
 def _bookkeeping(trace: DischargeTrace) -> _Bookkeeping:
     """Replay the steps of a trace once, with one running f.
 
-    Raises ValueError on a step vertex that is not an int (bools are
-    refused, as in validate_linear) or is outside 0..n-1, n = len(f0).
+    Raises ValueError on a step that is not a pair, on a step vertex that
+    is not an int (bools are refused, as in validate_linear) or on one
+    outside 0..n-1, n = len(f0).
     """
     f = list(trace.f0)
     n = len(f)
@@ -118,7 +122,11 @@ def _bookkeeping(trace: DischargeTrace) -> _Bookkeeping:
     g: list[int] = []
     h: list[int] = []
     delta_v: dict[int, int] = {}
-    for i, (x, y) in enumerate(trace.steps):
+    for i, step in enumerate(trace.steps):
+        try:
+            x, y = step
+        except (TypeError, ValueError):
+            raise ValueError(f"step {i + 1} = {step!r} is not a pair of vertices") from None
         if not _is_int(x) or not _is_int(y):
             raise ValueError(f"step {i + 1} = {(x, y)!r} has a vertex that is not an int")
         if not (0 <= x < n and 0 <= y < n):

@@ -19,8 +19,9 @@ for which H's tables say not free(e), those that would make a crown
 through the new edge; the parent is crown-free, so that is exactly when
 the child has a crown.  The tables (crowns.CrownTables) are not rebuilt
 per node: a child extends its parent's by its own edge when it is built,
-which changes only the entries at the edge's three vertices.  If at
-least two candidates are left and two of them have the same sorted
+which changes only the entries at the edge's three vertices, and reads
+its degrees off them, a vertex's degree being its number of edge masks.
+If at least two candidates are left and two of them have the same sorted
 triple of H's vertex keys, H is labelled and they are cut to one per
 Aut(H)-orbit, the first in candidate order; if every candidate's triple
 differs, each is its own orbit and the cut would keep them all.  That
@@ -88,20 +89,22 @@ class ExtremalCertificate(namedtuple("ExtremalCertificate", "n value witnesses n
 
 
 class _Node:
-    """Search node: edges plus cheap derived state, among them the node's
-    crowns.CrownTables, which _extend builds from the parent's.  Everything
-    is fixed at construction except canon: canonical() labels the node when
-    _accept has to break a tie, when two candidates left to cut to orbits
-    share their vertex keys, or when the node is kept as a witness."""
+    """Search node: edges and the node's crowns.CrownTables, which _extend
+    builds from the parent's, plus what is read off the tables.  degs[v] is
+    the number of edge masks at label v, its degree; the tables have
+    entries for the covered labels and the three new ones, so cov is
+    len(degs) - 3 and degs ends with three zeros.  Everything is fixed at
+    construction except canon: canonical() labels the node when _accept
+    has to break a tie, when two candidates left to cut to orbits share
+    their vertex keys, or when the node is kept as a witness."""
 
     __slots__ = ("edges", "cov", "degs", "tables", "canon")
 
-    def __init__(self, edges: tuple[Triple, ...], cov: int, degs: tuple[int, ...],
-                 tables: CrownTables):
+    def __init__(self, edges: tuple[Triple, ...], tables: CrownTables):
         self.edges = edges
-        self.cov = cov
-        self.degs = degs
         self.tables = tables
+        self.degs = tuple(map(len, tables.at))
+        self.cov = len(self.degs) - 3
         self.canon: CanonResult | None = None
 
     def canonical(self) -> CanonResult:
@@ -114,17 +117,13 @@ class _Node:
 
 
 def _root() -> _Node:
-    return _Node((), 0, (), CrownTables.of(()))
+    return _Node((), CrownTables.of(()))
 
 
 def _extend(node: _Node, e: Triple) -> _Node:
-    """Child node for edge e, whose tables are node's extended by e."""
-    cov = max(node.cov, e[2] + 1)
-    edges = tuple(sorted(node.edges + (e,)))
-    degs = list(node.degs) + [0] * (cov - node.cov)
-    for v in e:
-        degs[v] += 1
-    return _Node(edges, cov, tuple(degs), node.tables.extend(e))
+    """Child node for edge e: node's tables extended by e, from which the
+    child reads its degrees and cov."""
+    return _Node(tuple(sorted(node.edges + (e,))), node.tables.extend(e))
 
 
 def _candidate_edges(node: _Node, max_vertices: int) -> list[Triple]:
@@ -144,7 +143,7 @@ def _candidate_edges(node: _Node, max_vertices: int) -> list[Triple]:
     out: list[Triple] = []
     if node.edges:
         degs = node.degs
-        least = min(degs)
+        least = min(degs[:cov])
         low = [v for v in range(cov) if degs[v] == least]
         if len(low) <= 3:
             # a vertex can join low only if it shares no edge with them
@@ -202,7 +201,7 @@ def _least_key_additions(node: _Node, candidates: list[Triple]) -> list[Triple]:
     raised by one is still smaller.  Scanning the parent's edges in key
     order therefore stops at the first key not below e's."""
     s = (node.cov + 3).bit_length()  # degrees stay below cov + 3
-    d = node.degs + (0, 0, 0)  # the new vertices cov, cov+1, cov+2
+    d = node.degs
     mid, top = 1 << s, 1 << 2 * s
     table = []  # (key in node, vertex mask, {vertex bit: key with it raised})
     for a, b, c in node.edges:
@@ -246,13 +245,13 @@ def _vertex_keys(node: _Node) -> list[tuple]:
     other two vertices of each edge through it); a new vertex, label cov
     or more, gets (0, ())."""
     d = node.degs
-    co: list[list[tuple[int, int]]] = [[] for _ in range(node.cov)]
+    co: list[list[tuple[int, int]]] = [[] for _ in d]
     for a, b, c in node.edges:
         da, db, dc = d[a], d[b], d[c]
         co[a].append((db, dc) if db <= dc else (dc, db))
         co[b].append((da, dc) if da <= dc else (dc, da))
         co[c].append((da, db) if da <= db else (db, da))
-    return [(d[v], tuple(sorted(p))) for v, p in enumerate(co)] + [(0, ())] * 3
+    return [(d[v], tuple(sorted(p))) for v, p in enumerate(co)]
 
 
 def _accept(child: _Node, e: Triple) -> bool:

@@ -208,6 +208,15 @@ class TestVerifierNegativeCases:
         assert not ok
         assert bad == [f"step 3 = {step!r} has a vertex that is not an int"]
 
+    @pytest.mark.parametrize("step", [5, None, (1,), (1, 2, 3)])
+    def test_step_not_a_pair_is_a_violation(self, step):
+        d = [2, 2, 5, 5, 5, 11]
+        tr = build_discharge_sequence(d)
+        tr.steps[2] = step
+        ok, bad = verify_discharge_trace(tr, d)
+        assert not ok
+        assert bad == [f"step 3 = {step!r} is not a pair of vertices"]
+
     @pytest.mark.parametrize("x", [11.0, Fraction(11), True], ids=["float", "fraction", "bool"])
     def test_degree_not_an_int_is_a_violation(self, x):
         tr = build_discharge_sequence([2, 2, 5, 5, 5, 11])
@@ -348,6 +357,12 @@ class TestLemma2Rhs:
     def test_small_n_below_14(self):
         assert lemma2_rhs(5, 0) == Fraction(375, 27)
         assert lemma2_rhs(5, 0) < 14
+
+    @pytest.mark.parametrize("n, L", [(1.5, 0), (True, 0), (11, 0.5), (11, True)])
+    def test_non_int_refused(self, n, L):
+        # exact arithmetic needs ints; a bool is not taken for 0 or 1
+        with pytest.raises(ValueError, match=f"^n and L must be ints, not n = {n!r}, L = {L!r}$"):
+            lemma2_rhs(n, L)
 
     def test_integer_identity(self):
         # 3(25n + 14L) > 15(5n + 2) <=> 42L > 30, true for all L >= 1

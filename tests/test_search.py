@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from crownfree import (
+    LinearThreeGraph,
     crown_oracle,
     find_crown,
     lower_bound_construction,
@@ -249,6 +250,18 @@ def _reference_candidates(node, max_vertices):
     return out
 
 
+class TestNodeState:
+    def test_cov_and_degrees_read_off_the_tables(self):
+        # a node's cov and degs come from its crown tables alone: one entry
+        # per label up to cov + 2, the three new labels at degree 0
+        nodes = list(_walk(10, True)) + list(_walk(8, False))
+        for node in nodes:
+            cov = 1 + max(max(e) for e in node.edges) if node.edges else 0
+            assert node.cov == cov, node.edges
+            assert node.degs == tuple(LinearThreeGraph(cov + 3, node.edges).degrees()), node.edges
+        assert len(nodes) == 650
+
+
 class TestCandidateEdges:
     def test_equals_filtered_triples_to_n9(self):
         # the full lister that the reference walk and the tests use
@@ -291,11 +304,7 @@ def _parent_of(edges, e):
     """Node of edges without e, on all 9 labels: a relabelled graph need
     not cover its labels in order."""
     rest = tuple(f for f in edges if f != e)
-    degs = [0] * 9
-    for f in rest:
-        for v in f:
-            degs[v] += 1
-    return _Node(rest, 9, tuple(degs), CrownTables.of(rest, 12))
+    return _Node(rest, CrownTables.of(rest, 12))
 
 
 class TestDeletionEdge:

@@ -19,7 +19,7 @@ from collections import namedtuple
 from collections.abc import Sequence
 from itertools import combinations, product
 
-from .graphs import LinearThreeGraph, Triple, degree_vector, dominates
+from .graphs import LinearThreeGraph, Triple, dominates
 
 
 class ColoredLinkGraph(namedtuple("ColoredLinkGraph", "base vertices colored_edges")):
@@ -258,16 +258,14 @@ def greedy_crown_642(H: LinearThreeGraph, e: int) -> CrownWitness:
     exists.  Endpoints of equal degree go in label order, and each jewel
     is the least edge id available.
     """
-    base = H.edge(e)
-    link = dict(zip(base, _link_classes(H, e)))
-    d = {v: len(cls) + 1 for v, cls in link.items()}
-    dv = degree_vector(d, base)
+    order = sorted([(len(cls) + 1, v, cls) for v, cls in zip(H.edge(e), _link_classes(H, e))])
+    dv = (order[2][0], order[1][0], order[0][0])
     if not dominates(dv, (6, 4, 2)):
         raise ValueError(f"degree vector {dv} does not dominate (6, 4, 2)")
     chosen: list[int] = []
     used: set[int] = set()
-    for v in sorted(base, key=lambda v: (d[v], v)):
-        for y, z, i in link[v]:
+    for _, v, cls in order:
+        for y, z, i in cls:
             if y not in used and z not in used:
                 break
         else:  # cannot happen under the precondition

@@ -1,7 +1,9 @@
-"""Reference crown test for one added edge, for tests.
+"""Reference crown tests, for tests.
 
-`has_crown_containing` decides whether a crown uses a given edge, from the
-edge list alone.  It is the slow, one-edge form that
+`is_crown` reads the definition of one crown on plain vertex sets; it is
+what `crownfree.crowns.CrownWitness.validate` must agree with, and the
+brute force of the base-local crown test.  `has_crown_containing` decides whether a crown uses a given edge,
+from the edge list alone.  It is the slow, one-edge form that
 `crownfree.crowns.CrownTables.free` must agree with on every candidate,
 and the crown test of the reference walk in `search_reference.py`.
 """
@@ -11,6 +13,22 @@ from __future__ import annotations
 from typing import Sequence
 
 from crownfree.graphs import Triple
+
+
+def is_crown(edges: Sequence[Sequence[int]], base: int, trio: Sequence[int]) -> bool:
+    """True iff edge ids base and trio name a crown of the graph on
+    `edges`: four distinct edges, the three of trio pairwise disjoint,
+    each meeting the base in one vertex, the three meets making up the
+    whole base.  Plain sets throughout; it shares no code with the
+    package."""
+    if len(trio) != 3 or len({base, *trio}) != 4:
+        return False
+    b = set(edges[base])
+    jewels = [set(edges[i]) for i in trio]
+    if jewels[0] & jewels[1] or jewels[0] & jewels[2] or jewels[1] & jewels[2]:
+        return False
+    meets = [b & j for j in jewels]
+    return all(len(m) == 1 for m in meets) and set.union(*meets) == b
 
 
 def has_crown_containing(edges: Sequence[Triple], e: Triple) -> bool:

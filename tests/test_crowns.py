@@ -1,6 +1,6 @@
 import hashlib
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -17,11 +17,11 @@ from crownfree import (
 from crownfree import search
 from crownfree.crowns import ColoredLinkGraph, CrownTables, CrownWitness, _disjoint_triple
 from crownfree.graphs import LinearThreeGraph
-from crownfree.lemmas import plant_642_instance
+from crownfree.lemmas import induced_graph_of_G, plant_642_instance
 from crownfree.search import _extend, _root, generate_all, random_linear_graph
 
 from conftest import CROWN_EDGES, ag23
-from crown_reference import has_crown_containing
+from crown_reference import has_crown_containing, is_crown
 from search_reference import all_candidate_edges
 
 
@@ -165,6 +165,57 @@ class TestWitnessMessages:
         CrownWitness(0, (1, 2, 3)).validate(crown)
 
 
+def _validates(H, base, trio):
+    """True iff CrownWitness(base, trio).validate(H) does not raise."""
+    try:
+        CrownWitness(base, trio).validate(H)
+    except ValueError:
+        return False
+    return True
+
+
+class TestValidateAgainstReference:
+    """CrownWitness.validate raises exactly when the reference is_crown,
+    which shares no code with it, rejects."""
+
+    def test_every_base_and_ordered_trio_of_small_graphs(self, crown, fano):
+        # trios with repeated ids or the base among them included; the
+        # last three graphs are not linear: those of TestWitnessMessages,
+        # and a 4-vertex base whose jewels cover it, one meeting it twice
+        graphs = [
+            crown, fano, ag23(), induced_graph_of_G(), sunflower(6, 4, 2)[0],
+            LinearThreeGraph(9, ((0, 1, 2), (0, 1, 3), (4, 5, 6), (2, 7, 8))),
+            LinearThreeGraph(10, ((0, 1, 2, 9), (0, 3, 4), (1, 5, 6), (2, 7, 8))),
+            LinearThreeGraph(10, ((0, 1, 2, 9), (0, 3, 9), (1, 5, 6), (2, 7, 8))),
+        ]
+        crowns = checked = 0
+        for H in graphs:
+            ids = range(len(H.edges))
+            for base, *jewels in product(ids, repeat=4):
+                trio = tuple(jewels)
+                ok = _validates(H, base, trio)
+                assert ok == is_crown(H.edges, base, trio), (H.edges, base, trio)
+                crowns += ok
+                checked += 1
+        assert checked == 4**4 * 4 + 7**4 + 12**4 + 13**4 + 10**4 and crowns > 0
+
+    def test_planted_base_of_planted_instances(self):
+        # every trio of other edges at the planted base; validate's
+        # verdict does not depend on the order of the jewels, which the
+        # ordered trios of the small graphs cover
+        rng = random.Random(11)
+        crowns = checked = 0
+        for _ in range(200):
+            H, e = plant_642_instance(rng)
+            others = [i for i in range(len(H.edges)) if i != e]
+            for trio in combinations(others, 3):
+                ok = _validates(H, e, trio)
+                assert ok == is_crown(H.edges, e, trio), (H.edges, e, trio)
+                crowns += ok
+                checked += 1
+        assert 0 < crowns < checked
+
+
 class TestGreedy642:
     def test_sunflower_642(self):
         H, e = sunflower(6, 4, 2)
@@ -273,17 +324,8 @@ class TestOracle:
                 continue
             for e in range(len(H.edges)):
                 got = find_crown_with_base(H, e) is not None
-                brute = False
                 others = [i for i in range(len(H.edges)) if i != e]
-                for trio in combinations(others, 3):
-                    try:
-                        from crownfree.crowns import CrownWitness
-
-                        CrownWitness(e, trio).validate(H)
-                        brute = True
-                        break
-                    except ValueError:
-                        pass
+                brute = any(is_crown(H.edges, e, trio) for trio in combinations(others, 3))
                 assert got == brute
 
 

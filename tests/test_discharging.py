@@ -340,6 +340,16 @@ class TestStarDeficit:
             with pytest.raises(IndexError, match=f"^vertex {v} out of range \\(n={H.n}\\)$"):
                 star_deficit_check(H, v)
 
+    @pytest.mark.parametrize("x", [True, 1.0, "1"])
+    @pytest.mark.parametrize("f, name", [
+        (s_of, "edge id"), (s_star, "edge id"), (star_deficit_check, "vertex"),
+    ], ids=["s_of", "s_star", "star_deficit_check"])
+    def test_non_int_refused(self, f, name, x):
+        # True is not taken for edge or vertex 1, nor 1.0 for an index
+        with pytest.raises(ValueError) as info:
+            f(spoke_wheel(9), x)
+        assert str(info.value) == f"{name} must be an int, not {x!r}"
+
     def test_small_degree_rejected(self, fano):
         with pytest.raises(ValueError, match=">= 9"):
             star_deficit_check(fano, 0)

@@ -51,7 +51,9 @@ class CrownWitness(namedtuple("CrownWitness", "base jewels")):
     __slots__ = ()
 
     def validate(self, H: LinearThreeGraph) -> None:
-        """Check the witness invariants against H; raises ValueError if bad."""
+        """Check the witness invariants against H.  A bad witness is a
+        ValueError, as is an id that is not an int; an id that names no
+        edge of H is an IndexError from H.edge."""
         ids = (self.base,) + self.jewels
         if len(set(ids)) != 4:
             raise ValueError(f"witness edges not distinct: {ids}")
@@ -282,8 +284,9 @@ def crown_oracle(H: LinearThreeGraph) -> CrownWitness | None:
 
     For each base b in edge-id order, list at each vertex v of b the other
     edges meeting b in v alone, and return the first pairwise disjoint
-    triple in product order.  Shares no code with find_crown.  Testing
-    only; detection proper goes through find_crown.
+    triple in product order.  Shares no code with find_crown.  Detection
+    proper goes through find_crown; exact_ex rechecks every witness it
+    returns with this oracle, and the tests compare the two.
     """
     edges = [set(f) for f in H.edges]
     for b, base in enumerate(edges):

@@ -58,9 +58,15 @@ class LinearThreeGraph(namedtuple("LinearThreeGraph", "n edges")):
         return degree_vector(self.degrees(), self.edge(e))
 
     def edge(self, e: int) -> Triple:
-        if not (0 <= e < len(self.edges)):
-            raise IndexError(f"edge id {e} out of range (m={len(self.edges)})")
-        return self.edges[e]
+        """Edge e's triple.  An e that is not an int, a bool included, is
+        a ValueError, and one outside 0..m-1 an IndexError; every query
+        that names an edge by id reads it here."""
+        edges = self.edges
+        if type(e) is not int and not _is_int(e):  # plain ints skip the call: the crown scans' hot path
+            raise ValueError(f"edge id must be an int, not {e!r}")
+        if not (0 <= e < len(edges)):
+            raise IndexError(f"edge id {e} out of range (m={len(edges)})")
+        return edges[e]
 
     def edges_covering(self, xs: Iterable[int]) -> set[int]:
         """E_X: ids of all edges containing at least one vertex of X."""
@@ -72,13 +78,11 @@ class LinearThreeGraph(namedtuple("LinearThreeGraph", "n edges")):
     def remove_vertices(self, xs: Iterable[int]) -> tuple["LinearThreeGraph", dict[int, int]]:
         """Delete X and E_X, reindex the rest; returns (graph, old->new map)."""
         xset = set(xs)
-        for v in xset:
-            self._check_vertex(v)
+        drop = self.edges_covering(xset)  # checks each vertex of X
         if len(xset) == self.n:
             raise ValueError("cannot remove all vertices: vertex set must stay non-empty")
         keep = [v for v in range(self.n) if v not in xset]
         relabel = {v: i for i, v in enumerate(keep)}
-        drop = self.edges_covering(xset)
         new_edges = sorted(
             tuple(sorted((relabel[a], relabel[b], relabel[c])))
             for i, (a, b, c) in enumerate(self.edges)
@@ -87,6 +91,10 @@ class LinearThreeGraph(namedtuple("LinearThreeGraph", "n edges")):
         return LinearThreeGraph(len(keep), tuple(new_edges)), relabel
 
     def _check_vertex(self, v: int) -> None:
+        """The vertex counterpart of edge(): ValueError on a non-int v,
+        IndexError on one outside 0..n-1."""
+        if type(v) is not int and not _is_int(v):
+            raise ValueError(f"vertex must be an int, not {v!r}")
         if not (0 <= v < self.n):
             raise IndexError(f"vertex {v} out of range (n={self.n})")
 

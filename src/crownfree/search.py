@@ -363,7 +363,8 @@ def exact_ex(
     WITNESS_CAP) is rechecked against crown_oracle.
 
     A non-int n or max_nodes (bools included) is a ValueError, as is a
-    NaN, infinite or negative budget.  Both budgets are
+    max_seconds that is a bool or not an int or float, and a NaN,
+    infinite or negative budget.  Both budgets are
     checked before each node is taken, and a stop returns exhaustive=False.
     max_seconds can therefore be overrun by the expansion of one node (its
     candidates' crown checks and canonical tests).  The budget does not
@@ -378,8 +379,10 @@ def exact_ex(
         raise ValueError(f"n must be an int, not {n!r}")
     if n < 3:
         raise ValueError("need n >= 3")
-    if max_seconds is not None and not 0 <= max_seconds < math.inf:
-        raise ValueError(f"max_seconds must be a finite number >= 0, not {max_seconds}")
+    if max_seconds is not None and not (
+        (_is_int(max_seconds) or isinstance(max_seconds, float)) and 0 <= max_seconds < math.inf
+    ):
+        raise ValueError(f"max_seconds must be a finite number >= 0, not {max_seconds!r}")
     if max_nodes is not None and not _is_int(max_nodes):
         raise ValueError(f"max_nodes must be an int, not {max_nodes!r}")
     if max_nodes is not None and max_nodes < 0:

@@ -4,10 +4,15 @@ from fractions import Fraction
 import pytest
 
 from crownfree import (
+    CrownWitness,
+    LinearThreeGraph,
     build_discharge_sequence,
     crown_oracle,
+    find_crown_with_base,
+    greedy_crown_642,
     large_set,
     lemma2_rhs,
+    link_graph,
     s_of,
     s_star,
     star_deficit_check,
@@ -20,6 +25,24 @@ from crownfree.lemmas import random_degree_function
 
 from conftest import spoke_wheel
 from discharge_reference import reference_delta_v_bound, reference_trace, replay
+
+
+# Every public call that names an edge or a vertex by id, as f(H, id),
+# with the name its refusal gives the id.  The witness ids around x are
+# chosen so that no two are equal and validate reaches H.edge(x).
+ID_ENTRY_POINTS = [
+    pytest.param(s_of, "edge id", id="s_of"),
+    pytest.param(s_star, "edge id", id="s_star"),
+    pytest.param(star_deficit_check, "vertex", id="star_deficit_check"),
+    pytest.param(find_crown_with_base, "edge id", id="find_crown_with_base"),
+    pytest.param(link_graph, "edge id", id="link_graph"),
+    pytest.param(greedy_crown_642, "edge id", id="greedy_crown_642"),
+    pytest.param(lambda H, x: CrownWitness(0, (x, 2, 3)).validate(H), "edge id", id="witness_validate"),
+    pytest.param(lambda H, x: CrownWitness(x, (1, 2, 3)).to_json_obj(H), "edge id", id="witness_to_json_obj"),
+    pytest.param(LinearThreeGraph.degree_vector, "edge id", id="degree_vector"),
+    pytest.param(lambda H, x: H.edges_covering([x]), "vertex", id="edges_covering"),
+    pytest.param(lambda H, x: H.remove_vertices([x]), "vertex", id="remove_vertices"),
+]
 
 
 def star_graph(k):
@@ -341,14 +364,21 @@ class TestStarDeficit:
                 star_deficit_check(H, v)
 
     @pytest.mark.parametrize("x", [True, 1.0, "1"])
-    @pytest.mark.parametrize("f, name", [
-        (s_of, "edge id"), (s_star, "edge id"), (star_deficit_check, "vertex"),
-    ], ids=["s_of", "s_star", "star_deficit_check"])
+    @pytest.mark.parametrize("f, name", ID_ENTRY_POINTS)
     def test_non_int_refused(self, f, name, x):
         # True is not taken for edge or vertex 1, nor 1.0 for an index
         with pytest.raises(ValueError) as info:
             f(spoke_wheel(9), x)
         assert str(info.value) == f"{name} must be an int, not {x!r}"
+
+    @pytest.mark.parametrize("f, name", ID_ENTRY_POINTS)
+    def test_out_of_range_id_refused(self, f, name):
+        H = spoke_wheel(9)
+        size, label = (len(H.edges), "m") if name == "edge id" else (H.n, "n")
+        for x in (-1, size):
+            with pytest.raises(IndexError) as info:
+                f(H, x)
+            assert str(info.value) == f"{name} {x} out of range ({label}={size})"
 
     def test_small_degree_rejected(self, fano):
         with pytest.raises(ValueError, match=">= 9"):

@@ -3,12 +3,17 @@
 A crown is a base edge plus three pairwise disjoint jewels, one through
 each base vertex.  Equivalently, the 3-edge-colored link graph of the base
 has a rainbow matching, so find_crown_with_base does not validate the
-witness it builds from one.  For growing a graph edge by edge,
-CrownTables answers whether a triple would lie on a crown, and is carried
-from a graph to the graph plus one edge by adding that edge at its three
-vertices: the search builds each child's tables from its parent's when
-it builds the child.  A brute-force oracle, the definition read base by
-base on plain sets, is kept alongside as an independent check.
+witness it builds from one.  The scan that splits a base's link into
+its colour classes keeps its last result, so back-to-back calls on one
+graph object and base reuse it: each planted Lemma 1 instance is
+scanned once, though greedy_crown_642 and find_crown_with_base both
+check it.  Those classes are shared lists, so no caller may change them.
+For growing a graph edge by edge, CrownTables answers whether a triple
+would lie on a crown, and is carried from a graph to the graph plus one
+edge by adding that edge at its three vertices: the search builds each
+child's tables from its parent's when it builds the child.  A
+brute-force oracle, the definition read base by base on plain sets, is
+kept alongside as an independent check.
 It takes about 0.003, 0.008 and 0.02 s on the lower-bound gadget at
 n = 43, 63 and 103 (one core of a 2-vCPU host, Python 3.11).
 """
@@ -52,8 +57,11 @@ class CrownWitness(namedtuple("CrownWitness", "base jewels")):
 
     def validate(self, H: LinearThreeGraph) -> None:
         """Check the witness invariants against H.  A bad witness is a
-        ValueError, as is an id that is not an int; an id that names no
-        edge of H is an IndexError from H.edge."""
+        ValueError, as are jewels that are not a tuple of three ids and an
+        id that is not an int; an id that names no edge of H is an
+        IndexError from H.edge."""
+        if not (type(self.jewels) is tuple and len(self.jewels) == 3):
+            raise ValueError(f"jewels must be a tuple of three edge ids, not {self.jewels!r}")
         ids = (self.base,) + self.jewels
         if len(set(ids)) != 4:
             raise ValueError(f"witness edges not distinct: {ids}")
@@ -77,13 +85,26 @@ class CrownWitness(namedtuple("CrownWitness", "base jewels")):
         }
 
 
+_last_link: tuple = (None, None, None)  # (H, e, classes) of the last finished scan
+
+
 def _link_classes(H: LinearThreeGraph, e: int) -> tuple[list, list, list]:
     """The link of base e split by base vertex: for each vertex x of e in
     turn, the (y, z, i), y < z, of every other edge i = {x, y, z} meeting
     e at x, in edge-id order.  An edge sharing two vertices with e is a
     ValueError.  find_crown_with_base, link_graph and greedy_crown_642
-    read a base's link through it."""
+    read a base's link through it.
+
+    The last finished scan is kept, holding H itself, so a call for the
+    same graph object and edge id, made after e passes H.edge, returns
+    the same lists without scanning again: the lemma1 corpus checks each
+    planted base with greedy_crown_642 and then find_crown_with_base on
+    one scan.  The lists are shared, so no caller may change them."""
+    global _last_link
     base = H.edge(e)
+    last_H, last_e, last_classes = _last_link
+    if last_H is H and last_e == e:
+        return last_classes
     classes: tuple[list, list, list] = ([], [], [])
     at = dict(zip(base, classes))
     for i, f in enumerate(H.edges):
@@ -100,6 +121,7 @@ def _link_classes(H: LinearThreeGraph, e: int) -> tuple[list, list, list]:
             at[y].append((x, z, i))
         elif z in at:
             at[z].append((x, y, i))
+    _last_link = (H, e, classes)
     return classes
 
 

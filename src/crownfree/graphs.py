@@ -70,15 +70,17 @@ class LinearThreeGraph(namedtuple("LinearThreeGraph", "n edges")):
 
     def edges_covering(self, xs: Iterable[int]) -> set[int]:
         """E_X: ids of all edges containing at least one vertex of X."""
-        xset = set(xs)
-        for v in xset:
+        xs = list(xs)  # an iterator is read once
+        for v in xs:  # before set() can fold True into 1 or refuse a list
             self._check_vertex(v)
+        xset = set(xs)
         return {i for i, e in enumerate(self.edges) if xset & set(e)}
 
     def remove_vertices(self, xs: Iterable[int]) -> tuple["LinearThreeGraph", dict[int, int]]:
         """Delete X and E_X, reindex the rest; returns (graph, old->new map)."""
+        xs = list(xs)
+        drop = self.edges_covering(xs)  # checks each vertex of X
         xset = set(xs)
-        drop = self.edges_covering(xset)  # checks each vertex of X
         if len(xset) == self.n:
             raise ValueError("cannot remove all vertices: vertex set must stay non-empty")
         keep = [v for v in range(self.n) if v not in xset]

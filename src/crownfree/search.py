@@ -362,9 +362,9 @@ def exact_ex(
     certificate's params.  Every witness returned (at most
     WITNESS_CAP) is rechecked against crown_oracle.
 
-    A non-int n or max_nodes (bools included) is a ValueError, as is a
-    max_seconds that is a bool or not an int or float, and a NaN,
-    infinite or negative budget.  Both budgets are
+    A non-int n, max_nodes or threads (bools included) is a ValueError,
+    as are a threads below 1, a max_seconds that is a bool or not an int
+    or float, and a NaN, infinite or negative budget.  Both budgets are
     checked before each node is taken, and a stop returns exhaustive=False.
     max_seconds can therefore be overrun by the expansion of one node (its
     candidates' crown checks and canonical tests).  The budget does not
@@ -387,6 +387,10 @@ def exact_ex(
         raise ValueError(f"max_nodes must be an int, not {max_nodes!r}")
     if max_nodes is not None and max_nodes < 0:
         raise ValueError(f"max_nodes must be >= 0, not {max_nodes}")
+    if not _is_int(threads):
+        raise ValueError(f"threads must be an int, not {threads!r}")
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, not {threads}")
     t0 = time.monotonic()
     seed_graph = lower_bound_construction(n)
     best = len(seed_graph.edges)

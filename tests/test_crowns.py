@@ -14,8 +14,8 @@ from crownfree import (
     link_graph,
     validate_linear,
 )
-from crownfree import search
-from crownfree.crowns import ColoredLinkGraph, CrownTables, CrownWitness, _disjoint_triple
+from crownfree import lemmas, search
+from crownfree.crowns import ColoredLinkGraph, CrownTables, CrownWitness, _disjoint_triple, _link_classes
 from crownfree.graphs import LinearThreeGraph
 from crownfree.lemmas import induced_graph_of_G, plant_642_instance
 from crownfree.search import _extend, _root, generate_all, random_linear_graph
@@ -161,6 +161,12 @@ class TestWitnessMessages:
             CrownWitness(0, (1, 2, 3)).validate(H)
         assert str(info.value) == "jewels hit [0, 1, 2], not all three base vertices"
 
+    @pytest.mark.parametrize("jewels", [[1, 2, 3], (1, 2), (1, 2, 3, 0)], ids=["list", "two", "four"])
+    def test_jewels_not_a_triple(self, crown, jewels):
+        with pytest.raises(ValueError) as info:
+            CrownWitness(0, jewels).validate(crown)
+        assert str(info.value) == f"jewels must be a tuple of three edge ids, not {jewels!r}"
+
     def test_valid_witness_passes(self, crown):
         CrownWitness(0, (1, 2, 3)).validate(crown)
 
@@ -295,6 +301,67 @@ class TestFindCrownWithBase:
         for f in (find_crown_with_base, greedy_crown_642):
             with pytest.raises(ValueError, match=r"^edges \(0, 1, 2\) and \(0, 1, 3\) share two vertices"):
                 f(H, 0)
+
+
+class TestLinkScanMemo:
+    """_link_classes keeps its last finished scan and hands it back to a
+    call for the same graph object and edge id."""
+
+    def test_back_to_back_calls_share_the_scan(self):
+        H, e = sunflower(6, 4, 2)
+        assert _link_classes(H, e) is _link_classes(H, e)
+
+    def test_other_base_or_graph_scans_afresh(self):
+        H = random_linear_graph(15, 30, seed=5)
+        twin = LinearThreeGraph(H.n, H.edges)
+        m = len(H.edges)
+        # each call on its own new graph object misses the memo
+        ref = [_link_classes(LinearThreeGraph(H.n, H.edges), e) for e in range(m)]
+        for e in range(m):
+            assert _link_classes(H, e) == ref[e]
+            nxt = _link_classes(H, (e + 1) % m)
+            assert nxt == ref[(e + 1) % m]
+            again = _link_classes(twin, (e + 1) % m)
+            assert again is not nxt and again == nxt
+
+    @pytest.mark.parametrize("f, x", [
+        (find_crown_with_base, True), (link_graph, 1.0), (greedy_crown_642, True),
+    ], ids=["find_crown_with_base", "link_graph", "greedy_crown_642"])
+    def test_id_checked_before_a_hit(self, f, x):
+        H, _ = sunflower(6, 4, 2)
+        find_crown_with_base(H, 1)
+        with pytest.raises(ValueError) as info:
+            f(H, x)
+        assert str(info.value) == f"edge id must be an int, not {x!r}"
+
+    def test_failed_scan_is_not_kept(self):
+        bad = LinearThreeGraph(5, ((0, 1, 2), (0, 1, 3), (2, 3, 4)))
+        H, e = sunflower(6, 4, 2)
+        kept = _link_classes(H, e)
+        for _ in range(2):  # the second attempt scans, and fails, again
+            with pytest.raises(ValueError, match="share two vertices"):
+                _link_classes(bad, 0)
+        assert _link_classes(H, e) is kept
+        assert _link_classes(bad, 2) == ([(0, 1, 0)], [(0, 1, 1)], [])
+
+    def test_lemma1_corpus_scans_each_instance_once(self, monkeypatch):
+        iters = []
+
+        class CountingEdges(tuple):
+            def __iter__(self):
+                iters.append(1)
+                return super().__iter__()
+
+        plant = lemmas.plant_642_instance
+
+        def counted_plant(rng):
+            H, e = plant(rng)
+            return LinearThreeGraph(H.n, CountingEdges(H.edges)), e
+
+        monkeypatch.setattr(lemmas, "plant_642_instance", counted_plant)
+        rep = lemmas.verify_lemma1_on_corpus(0, 50)
+        assert (rep.instances, rep.passed) == (50, True)
+        assert len(iters) == 50  # the link scan is the one whole-list reader
 
 
 class TestOracle:

@@ -42,6 +42,9 @@ ID_ENTRY_POINTS = [
     pytest.param(LinearThreeGraph.degree_vector, "edge id", id="degree_vector"),
     pytest.param(lambda H, x: H.edges_covering([x]), "vertex", id="edges_covering"),
     pytest.param(lambda H, x: H.remove_vertices([x]), "vertex", id="remove_vertices"),
+    # after a good vertex, so that set() cannot fold True or 1.0 into it
+    pytest.param(lambda H, x: H.edges_covering([1, x]), "vertex", id="edges_covering_after_1"),
+    pytest.param(lambda H, x: H.remove_vertices([1, x]), "vertex", id="remove_vertices_after_1"),
 ]
 
 
@@ -370,6 +373,17 @@ class TestStarDeficit:
         with pytest.raises(ValueError) as info:
             f(spoke_wheel(9), x)
         assert str(info.value) == f"{name} must be an int, not {x!r}"
+
+    @pytest.mark.parametrize("f", [LinearThreeGraph.edges_covering, LinearThreeGraph.remove_vertices])
+    def test_unhashable_vertex_refused(self, f):
+        with pytest.raises(ValueError) as info:
+            f(spoke_wheel(9), [[1]])
+        assert str(info.value) == "vertex must be an int, not [1]"
+
+    @pytest.mark.parametrize("f", [LinearThreeGraph.edges_covering, LinearThreeGraph.remove_vertices])
+    def test_vertex_iterator_read_once(self, f):
+        H = spoke_wheel(9)
+        assert f(H, iter([0, 2])) == f(H, [0, 2])
 
     @pytest.mark.parametrize("f, name", ID_ENTRY_POINTS)
     def test_out_of_range_id_refused(self, f, name):

@@ -627,13 +627,18 @@ class TestNonIntSizes:
         (lambda: exact_ex(5, max_nodes=True), "max_nodes must be an int, not True"),
         (lambda: exact_ex(5, max_seconds="1"), "max_seconds must be a finite number >= 0, not '1'"),
         (lambda: exact_ex(5, max_seconds=True), "max_seconds must be a finite number >= 0, not True"),
+        (lambda: exact_ex(5, threads="x"), "threads must be an int, not 'x'"),
+        (lambda: exact_ex(5, threads=True), "threads must be an int, not True"),
+        (lambda: exact_ex(5, threads=2.0), "threads must be an int, not 2.0"),
+        (lambda: exact_ex(5, threads=0), "threads must be >= 1, not 0"),
         (lambda: lower_bound_construction(7.5), "n must be an int, not 7.5"),
         (lambda: random_linear_graph(5.0, 1, 1), "n and m must be ints, not n = 5.0, m = 1"),
         (lambda: random_linear_graph(5, 1.0, 1), "n and m must be ints, not n = 5, m = 1.0"),
         (lambda: list(generate_all(5.0)), "max_vertices must be an int, not 5.0"),
         (lambda: list(generate_all(True)), "max_vertices must be an int, not True"),
     ], ids=["exact_n", "exact_max_nodes", "exact_max_nodes_bool", "exact_max_seconds_str",
-            "exact_max_seconds_bool", "lower_bound_n",
+            "exact_max_seconds_bool", "exact_threads_str", "exact_threads_bool",
+            "exact_threads_float", "exact_threads_zero", "lower_bound_n",
             "random_n", "random_m", "generate_all_float", "generate_all_bool"])
     def test_refused(self, call, message):
         with pytest.raises(ValueError) as info:

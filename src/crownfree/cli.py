@@ -54,7 +54,7 @@ def cmd_check(args) -> int:
               args.json, "crown-free")
         return EXIT_OK
     obj = {"schema": "crownfree/check-v1", "crown_free": False, "witness": w.to_json_obj(H)}
-    _emit(obj, args.json, json.dumps(w.to_json_obj(H)))
+    _emit(obj, args.json, json.dumps(obj["witness"]))
     return EXIT_PROPERTY_FAILS
 
 
@@ -86,8 +86,6 @@ def cmd_random(args) -> int:
 
 def cmd_link(args) -> int:
     H = _load_graph(args.file)
-    if not (0 <= args.edge < len(H.edges)):
-        raise ValueError(f"edge id {args.edge} out of range (m={len(H.edges)})")
     G = link_graph(H, args.edge)
     if args.dot:
         sys.stdout.write(G.to_dot())
@@ -215,9 +213,10 @@ def run(argv: list[str]) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    # LinearityError is a ValueError; an n too large to index a list is an
+    # LinearityError is a ValueError; an edge id that names no edge is
+    # edge()'s IndexError; an n too large to index a list is an
     # OverflowError, and one too large to allocate a list of is a MemoryError
-    except (ValueError, OverflowError, MemoryError, OSError) as exc:
+    except (ValueError, IndexError, OverflowError, MemoryError, OSError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -57,15 +57,16 @@ class CrownWitness(namedtuple("CrownWitness", "base jewels")):
 
     def validate(self, H: LinearThreeGraph) -> None:
         """Check the witness invariants against H.  A bad witness is a
-        ValueError, as are jewels that are not a tuple of three ids and an
-        id that is not an int; an id that names no edge of H is an
-        IndexError from H.edge."""
+        ValueError, as are jewels that are not a tuple of three ids.  All
+        four ids are resolved through H.edge before they are compared, so
+        an id that is not an int, an unhashable one included, is edge()'s
+        ValueError, and one that names no edge of H its IndexError."""
         if not (type(self.jewels) is tuple and len(self.jewels) == 3):
             raise ValueError(f"jewels must be a tuple of three edge ids, not {self.jewels!r}")
         ids = (self.base,) + self.jewels
+        base, *jewels = [set(H.edge(i)) for i in ids]
         if len(set(ids)) != 4:
             raise ValueError(f"witness edges not distinct: {ids}")
-        base, *jewels = [set(H.edge(i)) for i in ids]
         for j1, j2 in combinations(jewels, 2):
             if j1 & j2:
                 raise ValueError(f"jewels intersect: {sorted(j1)} / {sorted(j2)}")

@@ -411,9 +411,12 @@ def verify_lemma1_on_corpus(seed: int = 0, count: int = 1000) -> ReplayReport:
     """Planted-(6,4,2) corpus: the greedy witness must always validate,
     and a crown with the planted base must always be found.
     greedy_crown_642 tests the base's domination of (6,4,2) itself, so an
-    instance that lost it is reported as a greedy failure."""
+    instance that lost it is reported as a greedy failure.  A count or
+    seed that is not an int, bools included, is a ValueError."""
     if not _is_int(count):
         raise ValueError(f"count must be an int, not {count!r}")
+    if not _is_int(seed):
+        raise ValueError(f"seed must be an int, not {seed!r}")
     rep = ReplayReport(suite="lemma1", seed=seed)
     rng = random.Random(seed)
     for i in range(count):
@@ -447,9 +450,12 @@ def verify_order11() -> ReplayReport:
 def verify_discharge_suite(seed: int = 0, count: int = 200) -> ReplayReport:
     """Random valid degree functions through the builder and the verifier,
     including planted large degrees; one verifier call per instance also
-    checks the Delta_v bound at every vertex of degree >= 9."""
+    checks the Delta_v bound at every vertex of degree >= 9.  A count or
+    seed that is not an int, bools included, is a ValueError."""
     if not _is_int(count):
         raise ValueError(f"count must be an int, not {count!r}")
+    if not _is_int(seed):
+        raise ValueError(f"seed must be an int, not {seed!r}")
     rep = ReplayReport(suite="discharge", seed=seed)
     rng = random.Random(seed)
     for i in range(count):

@@ -362,9 +362,12 @@ def exact_ex(
     certificate's params.  Every witness returned (at most
     WITNESS_CAP) is rechecked against crown_oracle.
 
-    A non-int n, max_nodes or threads (bools included) is a ValueError,
-    as are a threads below 1, a max_seconds that is a bool or not an int
-    or float, and a NaN, infinite or negative budget.  Both budgets are
+    A non-int max_nodes or threads (bools included) is a ValueError, as
+    are a threads below 1, a max_seconds that is a bool or not an int or
+    float, and a NaN, infinite or negative budget.  These are checked
+    first, so a bad budget never waits for the gadget to be built; n is
+    then checked by lower_bound_construction, whose ValueErrors for a
+    non-int n and an n below 3 are exact_ex's.  Both budgets are
     checked before each node is taken, and a stop returns exhaustive=False.
     max_seconds can therefore be overrun by the expansion of one node (its
     candidates' crown checks and canonical tests).  The budget does not
@@ -375,10 +378,6 @@ def exact_ex(
     oracle on it), so past that the overrun is seconds: 2 s at n = 1003
     and 10 s at n = 2003 (see the README).
     """
-    if not _is_int(n):
-        raise ValueError(f"n must be an int, not {n!r}")
-    if n < 3:
-        raise ValueError("need n >= 3")
     if max_seconds is not None and not (
         (_is_int(max_seconds) or isinstance(max_seconds, float)) and 0 <= max_seconds < math.inf
     ):
@@ -470,7 +469,8 @@ def random_linear_graph(n: int, m: int, seed: int) -> LinearThreeGraph:
     is tested when the rejection count is a power of two; every later draw
     would be rejected, so stopping there gives the same edges.  A non-int
     n or m (bools included), an n below 1 or a negative m is a ValueError,
-    since a graph needs a non-empty vertex set.
+    since a graph needs a non-empty vertex set, and so is a seed that is
+    not an int, bools included.
     """
     if not (_is_int(n) and _is_int(m)):
         raise ValueError(f"n and m must be ints, not n = {n!r}, m = {m!r}")
@@ -478,6 +478,8 @@ def random_linear_graph(n: int, m: int, seed: int) -> LinearThreeGraph:
         raise ValueError(f"need n >= 1 and m >= 0, not n = {n}, m = {m}")
     if m > n * (n - 1) // 6:
         raise ValueError(f"m = {m} exceeds the linearity cap n(n-1)/6 = {n * (n - 1) // 6}")
+    if not _is_int(seed):
+        raise ValueError(f"seed must be an int, not {seed!r}")
     rng = random.Random(seed)
     pairs: set[tuple[int, int]] = set()
     edges: list[Triple] = []

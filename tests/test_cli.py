@@ -36,6 +36,13 @@ class TestCheck:
         w = json.loads(out)
         assert w["base"] == [0, 1, 2]
 
+    def test_text_witness_is_json_witness(self, tmp_path, capsys):
+        path = write_graph(tmp_path, CROWN_EDGES, 9)
+        assert run(["check", path]) == 2
+        text = json.loads(capsys.readouterr().out)
+        assert run(["check", path, "--json"]) == 2
+        assert text == json.loads(capsys.readouterr().out)["witness"]
+
     def test_json_mode(self, tmp_path, capsys):
         path = write_graph(tmp_path, FANO_EDGES, 7)
         assert run(["check", path, "--json"]) == 0
@@ -202,6 +209,10 @@ class TestExact:
         assert run(["exact", "--n", "9", flag, value]) == 1
         assert flag[2:].replace("-", "_") in capsys.readouterr().err
 
+    def test_n_below_3_usage_error(self, capsys):
+        assert run(["exact", "--n", "2"]) == 1
+        assert capsys.readouterr().err == "error: need n >= 3\n"
+
 
 class TestConstruct:
     def test_n11(self, capsys):
@@ -229,6 +240,8 @@ class TestLink:
         path = write_graph(tmp_path, CROWN_EDGES, 9)
         assert run(["link", path, "--edge", "99"]) == 1
         assert capsys.readouterr().err == "error: edge id 99 out of range (m=4)\n"
+        assert run(["link", path, "--edge", "-1"]) == 1
+        assert capsys.readouterr().err == "error: edge id -1 out of range (m=4)\n"
 
 
 class TestDischarge:

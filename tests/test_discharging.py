@@ -38,6 +38,8 @@ ID_ENTRY_POINTS = [
     pytest.param(link_graph, "edge id", id="link_graph"),
     pytest.param(greedy_crown_642, "edge id", id="greedy_crown_642"),
     pytest.param(lambda H, x: CrownWitness(0, (x, 2, 3)).validate(H), "edge id", id="witness_validate"),
+    # x as the base: True and 1.0 would equal jewel 1 if ids were compared first
+    pytest.param(lambda H, x: CrownWitness(x, (1, 2, 3)).validate(H), "edge id", id="witness_validate_base"),
     pytest.param(lambda H, x: CrownWitness(x, (1, 2, 3)).to_json_obj(H), "edge id", id="witness_to_json_obj"),
     pytest.param(LinearThreeGraph.degree_vector, "edge id", id="degree_vector"),
     pytest.param(lambda H, x: H.edges_covering([x]), "vertex", id="edges_covering"),
@@ -366,10 +368,11 @@ class TestStarDeficit:
             with pytest.raises(IndexError, match=f"^vertex {v} out of range \\(n={H.n}\\)$"):
                 star_deficit_check(H, v)
 
-    @pytest.mark.parametrize("x", [True, 1.0, "1"])
+    @pytest.mark.parametrize("x", [True, 1.0, "1", [1]], ids=["True", "1.0", "1", "list"])
     @pytest.mark.parametrize("f, name", ID_ENTRY_POINTS)
     def test_non_int_refused(self, f, name, x):
-        # True is not taken for edge or vertex 1, nor 1.0 for an index
+        # True is not taken for edge or vertex 1, nor 1.0 for an index, and
+        # an unhashable [1] is refused before any set or dict can see it
         with pytest.raises(ValueError) as info:
             f(spoke_wheel(9), x)
         assert str(info.value) == f"{name} must be an int, not {x!r}"

@@ -419,6 +419,14 @@ class TestEmptySuite:
             suite(0, count)
         assert str(info.value) == f"count must be an int, not {count}"
 
+    @pytest.mark.parametrize("suite", [verify_lemma1_on_corpus, verify_discharge_suite])
+    @pytest.mark.parametrize("seed", [[1], True, 1.5, "1"], ids=["list", "True", "1.5", "str"])
+    def test_non_int_seed_refused(self, suite, seed):
+        # a bool or float seed would be recorded as JSON true or 1.5
+        with pytest.raises(ValueError) as info:
+            suite(seed, 3)
+        assert str(info.value) == f"seed must be an int, not {seed!r}"
+
     def test_failures_are_counted_in_summary(self):
         rep = verify_order11()
         rep.failures.append(("x", "y"))

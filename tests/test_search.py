@@ -634,12 +634,18 @@ class TestNonIntSizes:
         (lambda: lower_bound_construction(7.5), "n must be an int, not 7.5"),
         (lambda: random_linear_graph(5.0, 1, 1), "n and m must be ints, not n = 5.0, m = 1"),
         (lambda: random_linear_graph(5, 1.0, 1), "n and m must be ints, not n = 5, m = 1.0"),
+        (lambda: random_linear_graph(5, 1, [1]), "seed must be an int, not [1]"),
+        (lambda: random_linear_graph(5, 1, True), "seed must be an int, not True"),
+        (lambda: random_linear_graph(5, 1, "1"), "seed must be an int, not '1'"),
         (lambda: list(generate_all(5.0)), "max_vertices must be an int, not 5.0"),
         (lambda: list(generate_all(True)), "max_vertices must be an int, not True"),
+        # the budgets are checked before lower_bound_construction checks n
+        (lambda: exact_ex("x", max_seconds=-1), "max_seconds must be a finite number >= 0, not -1"),
     ], ids=["exact_n", "exact_max_nodes", "exact_max_nodes_bool", "exact_max_seconds_str",
             "exact_max_seconds_bool", "exact_threads_str", "exact_threads_bool",
             "exact_threads_float", "exact_threads_zero", "lower_bound_n",
-            "random_n", "random_m", "generate_all_float", "generate_all_bool"])
+            "random_n", "random_m", "random_seed_list", "random_seed_bool", "random_seed_str",
+            "generate_all_float", "generate_all_bool", "exact_budget_before_n"])
     def test_refused(self, call, message):
         with pytest.raises(ValueError) as info:
             call()

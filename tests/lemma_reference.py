@@ -5,6 +5,12 @@ and `random_degree_function` as written on `rng.randint`, `rng.randrange`
 and `rng.sample`.  The library draws the same values straight from
 `rng.getrandbits`, so the tests hold it to these instance by instance,
 with the generator's state compared after every draw.
+
+This is the only place that keeps the pair-table form of planting: every
+pair of the base, of each petal and of each kept noise edge goes into one
+set, and a noise triple is refused when one of its pairs is in it.  The
+library stores the noise edges' pairs alone and refuses a triple that
+meets the sunflower by arithmetic on the petals' vertex ranges.
 """
 
 from __future__ import annotations

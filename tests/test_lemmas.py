@@ -260,6 +260,24 @@ class TestLemma1Corpus:
             ids.add(e)
         assert (sum_n, sum_m, ids) == (33475, 19193, {0})
 
+    def test_seed_7_corpora_are_pinned(self):
+        # the corpora of the replay_corpus benchmark unit at seed 7, the
+        # seed its runs are reported at, as the sums of their sizes
+        rng = random.Random(7)
+        sum_n = sum_m = 0
+        for _ in range(10_000):
+            H, _ = plant_642_instance(rng)
+            sum_n += H.n
+            sum_m += len(H.edges)
+        assert (sum_n, sum_m) == (336183, 192230)
+        rng = random.Random(7)
+        sum_len = sum_sq = 0
+        for _ in range(1_000):
+            d = random_degree_function(rng)
+            sum_len += len(d)
+            sum_sq += sum(x * x for x in d)
+        assert (sum_len, sum_sq) == (21180, 662529)
+
 
 class _Recording(random.Random):
     """A Random that logs each getrandbits call; randint, randrange and
@@ -271,6 +289,22 @@ class _Recording(random.Random):
 
     def getrandbits(self, k):
         r = super().getrandbits(k)
+        self.log.append((k, r))
+        return r
+
+
+class _Scripted(random.Random):
+    """A Random whose getrandbits returns the scripted values in turn,
+    each of which must fit in the bits asked for, and logs each call."""
+
+    def __init__(self, script):
+        self.log = []
+        self.script = list(script)
+        super().__init__(0)
+
+    def getrandbits(self, k):
+        r = self.script.pop(0)
+        assert 0 <= r < 1 << k, (k, r)
         self.log.append((k, r))
         return r
 
@@ -302,6 +336,27 @@ class TestCorpusDraws:
         # about 0.3% of instances reach
         assert pool_branch > 0
         assert r1.random() == r2.random()
+
+    def test_sunflower_pairs_refused(self):
+        # n = 24: petals at 0 on 3..12, at 1 on 13..18, at 2 on 19..20, and
+        # the spare vertices 21..23; six noise triples of 5-bit draws, the
+        # first with a draw >= n and a repeat, both drawn again
+        script = [0, 0, 0, 3, 6]  # da = 6, db = 4, dc = 2, n = 21 + 3, 6 triples
+        script += [22, 30, 22, 0, 1]  # (0, 1, 22): the base pair {0, 1}
+        script += [20, 2, 5]  # (2, 5, 20): centre 2 with 20 of its petal
+        script += [8, 22, 7]  # (7, 8, 22): the petal pair {7, 8}
+        script += [16, 0, 15]  # (0, 15, 16): the petal pair {15, 16}
+        script += [21, 3, 13]  # (3, 13, 21): kept
+        script += [13, 21, 5]  # (5, 13, 21): the noise pair {13, 21}
+        r1, r2 = _Scripted(script), _Scripted(script)
+        got = plant_642_instance(r1)
+        assert got == lemma_reference.plant_642_instance(r2)
+        assert r1.log == r2.log and not r1.script and not r2.script
+        sunflower = [(0, 1, 2)] + [(0, x, x + 1) for x in range(3, 13, 2)]
+        sunflower += [(1, x, x + 1) for x in range(13, 19, 2)] + [(2, 19, 20)]
+        H, e = got
+        assert (H.n, e) == (24, 0)
+        assert H.edges == tuple(sorted(sunflower + [(3, 13, 21)]))
 
     @pytest.mark.parametrize("seed", [0, 7, 42])
     def test_degree_functions_equal_reference(self, seed):
